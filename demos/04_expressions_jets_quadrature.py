@@ -18,7 +18,7 @@ The script walks through each piece at a worked point.
 
 import math
 
-from lorentz2d import Jet2, evaluate, make_antiderivative, parse, substitute, unparse
+from lorentz2d import Antiderivative, Jet2, evaluate, parse, substitute, unparse
 from lorentz2d.jets import apply_elementary, seed
 
 
@@ -51,7 +51,7 @@ def jets_by_hand() -> None:
 def quadrature() -> None:
     # Note the parentheses: the power's base includes a leading unary
     # minus, so "-l^2" would mean (-l)^2.
-    gaussian = make_antiderivative(parse("exp(-(l^2))"))
+    gaussian = Antiderivative(parse("exp(-(l^2))"))
     erf_like = gaussian.value(1.0)
     reference = 0.5 * math.sqrt(math.pi) * math.erf(1.0)
     print(f"integral of e^(-l^2) over [0, 1]: {erf_like:.12f} "

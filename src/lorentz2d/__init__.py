@@ -38,7 +38,6 @@ from .analysis import (
     sample_grid,
 )
 from .charts import (
-    ChartPoint,
     Diamond,
     Rectangle,
     Region,
@@ -96,7 +95,6 @@ from .families import (
     factor_from_expression,
     flat_factor,
     liouville_factor,
-    make_antiderivative,
     spacelike_factor,
     timelike_factor,
 )
@@ -109,7 +107,6 @@ __all__ = [
     "Binary",
     "BranchYieldsNonPositive",
     "Call",
-    "ChartPoint",
     "ConformalFactor",
     "Constant",
     "CurvatureReport",
@@ -155,7 +152,6 @@ __all__ = [
     "level_sets_to_csv",
     "level_sets_to_svg",
     "liouville_factor",
-    "make_antiderivative",
     "parse",
     "report_to_json",
     "ricci_from_log",

@@ -4,8 +4,13 @@ A ``SampleGrid`` evaluates a factor at cell centres of a regular lattice
 over a domain's bounding box.  Cells outside the domain are marked and
 excluded from all counts; cells inside are valid, singular (denominator
 epsilon band) or domain errors (poles, non-positive factor, overflow,
-quadrature failure).  Sampling is sequential and deterministic: two runs
-with the same inputs produce bitwise-identical arrays.
+quadrature failure).  Sampling walks the lattice in row-major blocks of
+``_BLOCK_CELLS`` cells and evaluates each block array-at-a-time; every
+cell gets the status, value and curvature that evaluating it alone with
+floats would give (up to the last bits of numpy's transcendental
+functions).  Blocks bound the memory of the intermediate arrays.
+Sampling is deterministic: two runs with the same inputs produce
+bitwise-identical arrays.
 
 ``constancy_report`` aggregates the curvature deviation from a target
 constant.  ``extract_level_sets`` runs marching squares on the interval
@@ -31,13 +36,19 @@ import numpy as np
 
 from .curvature import scalar_from_factor_jet
 from .errors import (
+    DOMAIN_ERROR,
+    OUTSIDE,
+    SINGULAR,
+    VALID,
     EmptyDomain,
     EvaluationError,
     NoValidSamples,
-    SingularDenominator,
 )
 
-VALID, SINGULAR, DOMAIN_ERROR, OUTSIDE = range(4)
+# Lattice cells evaluated per array operation.  Large enough that numpy's
+# per-call overhead is small per cell, small enough that a block's
+# intermediate arrays stay far below the size of the output arrays.
+_BLOCK_CELLS = 1024
 
 _CSV_HEADER = "t,x,omega,R,s2,valid"
 
@@ -107,41 +118,43 @@ def sample_grid(factor, domain=None, resolution: tuple[int, int] = (50, 50),
 
     dt = (t1 - t0) / n_t
     dx = (x1 - x0) / n_x
-    ts = np.array([t0 + (i + 0.5) * dt for i in range(n_t)])
-    xs = np.array([x0 + (j + 0.5) * dx for j in range(n_x)])
+    ts = t0 + (np.arange(n_t) + 0.5) * dt
+    xs = x0 + (np.arange(n_x) + 0.5) * dx
 
     omega = np.full((n_t, n_x), np.nan)
     ricci = np.full((n_t, n_x), np.nan)
     s2 = np.full((n_t, n_x), np.nan)
     status = np.full((n_t, n_x), OUTSIDE, dtype=np.int8)
+    # flat views: a block is a run of row-major cell indices
+    omega_c, ricci_c, s2_c, status_c = (arr.reshape(-1)
+                                        for arr in (omega, ricci, s2, status))
 
     chart = factor.chart
     sampled = 0
-    for i in range(n_t):
-        a = float(ts[i])
-        for j in range(n_x):
-            b = float(xs[j])
-            if not domain.contains(a, b):
+    # overflow and invalid results are poisoned (NaN) cells, not warnings
+    with np.errstate(all="ignore"):
+        for start in range(0, n_t * n_x, _BLOCK_CELLS):
+            cells = np.arange(start, min(start + _BLOCK_CELLS, n_t * n_x))
+            a, b = ts[cells // n_x], xs[cells % n_x]
+            inside = domain.contains(a, b)
+            cells, a, b = cells[inside], a[inside], b[inside]
+            sampled += cells.size
+            in_factor = factor.domain.contains(a, b)
+            status_c[cells[~in_factor]] = DOMAIN_ERROR
+            cells, a, b = cells[in_factor], a[in_factor], b[in_factor]
+            if cells.size == 0:
                 continue
-            sampled += 1
-            if not factor.domain.contains(a, b):
-                status[i, j] = DOMAIN_ERROR
-                continue
-            try:
-                if with_ricci:
-                    w = factor.jet(a, b)
-                    omega[i, j] = w.value
-                    ricci[i, j] = scalar_from_factor_jet(w, chart)
-                else:
-                    omega[i, j] = factor.value(a, b)
-                s2[i, j] = _interval(float(omega[i, j]), a, b, chart)
-                status[i, j] = VALID
-            except SingularDenominator:
-                omega[i, j] = np.nan
-                status[i, j] = SINGULAR
-            except EvaluationError:
-                omega[i, j] = np.nan
-                status[i, j] = DOMAIN_ERROR
+            code = np.full(cells.size, VALID, dtype=np.int8)
+            if with_ricci:
+                w = factor.jet(a, b, code)
+                om = w.value
+                ricci_c[cells] = scalar_from_factor_jet(w, chart)
+            else:
+                om = factor.value(a, b, code)
+            code[np.isnan(om) & (code == VALID)] = DOMAIN_ERROR
+            omega_c[cells] = om
+            s2_c[cells] = _interval(om, a, b, chart)
+            status_c[cells] = code
 
     if sampled == 0:
         raise EmptyDomain(

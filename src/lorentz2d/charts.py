@@ -12,7 +12,8 @@ of coordinates combined with the matching conformal rescaling.
 
 Domains are open point sets with a bounding box; membership uses strict
 inequalities so that boundary points (where compact factors blow up)
-are never sampled as interior.
+are never sampled as interior.  ``contains`` takes floats or arrays of
+cell centres (then it returns a boolean array).
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
+import numpy as np
+
 from . import jets
 from .errors import DomainError
 from .jets import Jet2
 
-_TAN = jets.DERIVATIVE_TRIPLES["tan"]
-_SEC = jets.DERIVATIVE_TRIPLES["sec"]
+_TAN = jets.VALUE_FUNCTIONS["tan"]
+_SEC = jets.VALUE_FUNCTIONS["sec"]
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,9 @@ class Rectangle:
     x_min: float
     x_max: float
 
-    def contains(self, t: float, x: float) -> bool:
-        return self.t_min < t < self.t_max and self.x_min < x < self.x_max
+    def contains(self, t, x):
+        return ((self.t_min < t) & (t < self.t_max)
+                & (self.x_min < x) & (x < self.x_max))
 
     def bbox(self) -> tuple[float, float, float, float]:
         return (self.t_min, self.t_max, self.x_min, self.x_max)
@@ -60,8 +64,8 @@ class Diamond:
 
     half_width: float = math.pi
 
-    def contains(self, t: float, x: float) -> bool:
-        return abs(x) < self.half_width and abs(t) < self.half_width - abs(x)
+    def contains(self, t, x):
+        return (abs(x) < self.half_width) & (abs(t) < self.half_width - abs(x))
 
     def bbox(self) -> tuple[float, float, float, float]:
         w = self.half_width
@@ -78,12 +82,18 @@ class Diamond:
 
 @dataclass(frozen=True)
 class Region:
-    """Open set given by a membership predicate plus a bounding box."""
+    """Open set given by a membership predicate plus a bounding box.
+
+    The predicate takes one point; arrays are tested point by point.
+    """
 
     predicate: Callable[[float, float], bool]
     bounds: tuple[float, float, float, float]
 
-    def contains(self, t: float, x: float) -> bool:
+    def contains(self, t, x):
+        if isinstance(t, np.ndarray):
+            return np.fromiter(map(self.predicate, t.tolist(), x.tolist()),
+                               dtype=bool, count=t.size).reshape(t.shape)
         return self.predicate(t, x)
 
     def bbox(self) -> tuple[float, float, float, float]:
@@ -107,18 +117,6 @@ def full_plane() -> Rectangle:
 
 def diamond(half_width: float = math.pi) -> Diamond:
     return Diamond(half_width)
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point labeled with the chart its coordinates live in."""
-
-    chart: str
-    first: float
-    second: float
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.first, self.second)
 
 
 def to_null(t: float, x: float) -> tuple[float, float]:
@@ -148,18 +146,18 @@ def compactify(factor) -> "ConformalFactor":
             "compactify requires a factor defined on the whole plane; "
             f"this factor lives on {factor.domain!r}")
 
-    def value_fn(tt: float, xx: float) -> float:
+    def value_fn(tt, xx, status=None):
         hu = 0.5 * (xx + tt)
         hv = 0.5 * (xx - tt)
-        u = _TAN(hu)[0]
-        v = _TAN(hv)[0]
-        w = factor.value(0.5 * (u - v), 0.5 * (u + v))
-        su = _SEC(hu)[0]
-        sv = _SEC(hv)[0]
+        u = _TAN(hu)
+        v = _TAN(hv)
+        w = factor.value(0.5 * (u - v), 0.5 * (u + v), status)
+        su = _SEC(hu)
+        sv = _SEC(hv)
         jac = 0.25 * (su * su) * (sv * sv)
         return w * jac
 
-    def jet_fn(tt: float, xx: float) -> Jet2:
+    def jet_fn(tt, xx, status=None):
         jt = jets.seed("t", (tt, xx))
         jx = jets.seed("x", (tt, xx))
         jhu = (jx + jt) * 0.5
@@ -168,7 +166,7 @@ def compactify(factor) -> "ConformalFactor":
         jv = jets.apply_elementary("tan", jhv)
         jtm = (ju - jv) * 0.5
         jxm = (ju + jv) * 0.5
-        w = factor.jet(jtm.value, jxm.value)
+        w = factor.jet(jtm.value, jxm.value, status)
         pulled = jets.compose_map(w, jtm, jxm)
         jsu = jets.apply_elementary("sec", jhu)
         jsv = jets.apply_elementary("sec", jhv)

@@ -14,8 +14,7 @@ Flags override ``--config`` JSON values, which override defaults.  The
 config file uses the same keys as the long flags (``{"family":
 "timelike", "c1": -4, "R": 2, "grid": "50x50"}``).  Note shell-parsing
 of negative level lists: write ``--levels="-1,-0.5,0.5,1"``.
-``--seed`` is accepted and reserved: every built-in code path is
-deterministic, so it currently has no effect.
+Every code path is deterministic.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ DEFAULT_DOMAIN = charts.Rectangle(-1.0, 1.0, -1.0, 1.0)
 _CONFIG_KEYS = frozenset({
     "family", "phi", "psi", "c1", "c2", "d1", "d2", "k", "C", "R",
     "omega", "target", "domain", "grid", "tol", "levels", "out",
-    "format", "raw_antiderivative", "seed",
+    "format", "raw_antiderivative",
 })
 
 
@@ -86,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file path")
         p.add_argument("--format", choices=("csv", "json", "svg"))
         p.add_argument("--config", help="JSON file with defaults for these flags")
-        p.add_argument("--seed", type=int, help="reserved (runs are deterministic)")
 
     p_check = sub.add_parser("check", help="compare sampled curvature to a target")
     add_factor_flags(p_check)

@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import expressions, jets
 from .errors import DomainError, EvaluationError, NonPositiveFactor, StencilOutsideDomain
 from .jets import Jet2
@@ -42,9 +44,10 @@ def _as_jet_fn(field, variables: tuple[str, str]) -> Callable[[float, float], Je
     if isinstance(field, (expressions.Constant, expressions.Variable,
                           expressions.Unary, expressions.Binary, expressions.Call)):
         first, second = variables
+        jet = expressions.compile_expression(field, jet=True)
 
         def from_expression(a: float, b: float) -> Jet2:
-            return expressions.evaluate(field, {
+            return jet({
                 first: jets.seed(first, (a, b)),
                 second: jets.seed(second, (a, b)),
             })
@@ -58,7 +61,8 @@ def _as_jet_fn(field, variables: tuple[str, str]) -> Callable[[float, float], Je
 def _as_value_fn(field) -> Callable[[float, float], float]:
     if isinstance(field, (expressions.Constant, expressions.Variable,
                           expressions.Unary, expressions.Binary, expressions.Call)):
-        return lambda a, b: expressions.evaluate(field, {"t": a, "x": b})
+        values = expressions.compile_expression(field)
+        return lambda a, b: values({"t": a, "x": b})
     if hasattr(field, "value") and callable(field.value):
         return field.value
     if callable(field):
@@ -70,9 +74,13 @@ def scalar_from_factor_jet(w: Jet2, chart: str = "tx") -> float:
     """Scalar curvature from a jet of the factor itself.
 
     ``chart`` "tx" (or "compact") uses the standard-coordinate formula;
-    "uv" uses the null-coordinate one.
+    "uv" uses the null-coordinate one.  Slots may be arrays; a cell whose
+    Omega^3 underflows to 0 raises ZeroDivisionError as a float would
+    (NaN cells are skipped).
     """
     cube = w.value * w.value * w.value
+    if isinstance(cube, np.ndarray) and (cube == 0.0).any():
+        raise ZeroDivisionError("float division by zero")
     if chart == "uv":
         return -4.0 * (w.value * w.dtx - w.dt * w.dx) / cube
     return (-w.dt * w.dt + w.dx * w.dx + w.value * (w.dtt - w.dxx)) / cube

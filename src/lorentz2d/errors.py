@@ -7,11 +7,17 @@ Two broad groups:
 * evaluation-time errors (``EvaluationError`` subclasses) raised while
   computing a field at a specific point.
 
-Grid sampling catches evaluation-time errors per cell and records them;
-construction-time errors always propagate to the caller.
+Grid sampling records evaluation-time failures per cell, as one of the
+status codes below; construction-time errors always propagate to the
+caller.
 """
 
 from __future__ import annotations
+
+# Per-cell outcome of a grid sample: a valid value, a denominator inside
+# the singular band (``SingularDenominator``), any other evaluation error,
+# or a cell outside the sampled domain.
+VALID, SINGULAR, DOMAIN_ERROR, OUTSIDE = range(4)
 
 
 class Lorentz2dError(Exception):

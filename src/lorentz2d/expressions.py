@@ -20,19 +20,25 @@ sqrt atan abs.
 
 ``evaluate`` accepts bindings to plain floats or to ``Jet2`` seeds; the
 two backends share the same value formulas, so the jet value component
-is bit-identical to the plain evaluation.
+is bit-identical to the plain evaluation.  Either kind of binding may
+hold numpy arrays of cell coordinates: the same code then evaluates every
+cell at once, and a cell that fails comes back NaN (see ``jets``) where a
+float evaluation would raise ``DomainError``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+import numpy as np
+
 from . import jets
 from .errors import DomainError, NonConstantExponent, ParseError
-from .jets import Jet2
+from .jets import Jet2, as_slot, backend, finite, reject
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "sec", "sinh", "cosh",
              "tanh", "sech", "sqrt", "atan", "abs")
@@ -318,27 +324,56 @@ def unparse(expression: Expression) -> str:
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# An expression is compiled once into nested closures, one per node, for
+# values (floats or arrays) or for jets; the closures are then called with
+# the bindings.  Factories compile their formulas when they are built.
+
+_INF = math.inf
+
 
 def evaluate(expression: Expression, bindings: Mapping[str, float | Jet2]):
     """Evaluate with float bindings (returns float) or Jet2 seeds
     (returns Jet2).  Raises DomainError outside real domains, ValueError
-    for unbound variables."""
+    for unbound variables.  With array bindings, failed cells are NaN
+    instead; a constant part still evaluates on floats, and still raises."""
+    jet = on_arrays = False
     for v in bindings.values():
         if isinstance(v, Jet2):
-            return _eval_jet(expression, bindings)
-    return _eval_real(expression, bindings)
+            jet = True
+            v = v.value
+        if isinstance(v, np.ndarray):
+            on_arrays = True
+    fn = compile_expression(expression, jet)
+    if on_arrays:
+        # overflow and invalid cells are poisoned, not warned about
+        with np.errstate(all="ignore"):
+            return fn(bindings)
+    return fn(bindings)
 
 
-def _point_of(bindings) -> dict:
-    return {k: (v.value if isinstance(v, Jet2) else float(v))
-            for k, v in bindings.items()}
+def compile_expression(expression: Expression, jet: bool = False):
+    """``fn(bindings)`` evaluating ``expression`` as ``evaluate`` does:
+    values from float or array bindings, or with ``jet`` a Jet2 from Jet2
+    seeds (float bindings are lifted to constant jets)."""
+    return _compile_jet(expression) if jet else _compile_real(expression)
+
+
+def _point_of(bindings) -> dict | None:
+    point = {}
+    for k, v in bindings.items():
+        v = v.value if isinstance(v, Jet2) else v
+        if isinstance(v, np.ndarray):
+            return None   # a failure raised on arrays holds at every cell
+        point[k] = float(v)
+    return point
 
 
 def constant_value(expression: Expression) -> float:
     """Value of a variable-free expression."""
     if free_variables(expression):
         raise ValueError("expression is not constant")
-    return _eval_real(expression, {})
+    return _compile_real(expression)({})
 
 
 def _exponent_value(node: Expression) -> float:
@@ -347,109 +382,140 @@ def _exponent_value(node: Expression) -> float:
     return constant_value(node)
 
 
-def _pow_real(a: float, n: float, node, bindings) -> float:
+def _variable(name: str, convert):
+    def variable(bindings):
+        try:
+            v = bindings[name]
+        except KeyError:
+            raise ValueError(f"unbound variable {name!r}") from None
+        return convert(v)
+
+    return variable
+
+
+def _real_power(n: float):
+    """a -> a**n for a constant n, on values."""
     if n.is_integer() and abs(n) <= jets._POW_PRODUCT_LIMIT:
         m = int(n)
-        if m == 0:
-            return 1.0
-        p = a
-        for _ in range(abs(m) - 1):
-            p = p * a
-        if m < 0:
-            if p == 0.0:
-                raise DomainError("division by zero in negative power",
-                                  node, _point_of(bindings))
-            p = 1.0 / p
-        return p
-    if a <= 0.0:
-        raise DomainError(
-            f"pow with exponent {n!r} requires a positive base (got {a!r})",
-            node, _point_of(bindings))
-    try:
-        return math.exp(n * math.log(a))
-    except OverflowError:
-        raise DomainError(
-            f"pow overflow for base {a!r} and exponent {n!r}",
-            node, _point_of(bindings)) from None
+
+        def power(a):
+            if m == 0:
+                return a * 0.0 + 1.0   # 1, kept NaN on a poisoned cell
+            p = a
+            for _ in range(abs(m) - 1):
+                p = p * a
+            if m < 0:
+                p = 1.0 / reject(p == 0.0, p, "division by zero in negative power")
+            return p
+
+        return power
+    message = f"pow with exponent {n!r} requires a positive base (got {{!r}})"
+
+    def power(a):
+        a = reject(a <= 0.0, a, message)
+        xp = backend(a)
+        try:
+            return xp.exp(n * xp.log(a))
+        except OverflowError:
+            raise DomainError(
+                f"pow overflow for base {a!r} and exponent {n!r}") from None
+
+    return power
 
 
-def _eval_real(expression: Expression, bindings) -> float:
+def _divide(a, b):
+    return a / reject(b == 0.0, b, "division by zero")
+
+
+_REAL_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+             "div": _divide}
+
+
+def _compile_real(expression: Expression):
     match expression:
         case Constant(value):
-            return value
+            return lambda bindings: value
         case Variable(name):
-            try:
-                return float(bindings[name])
-            except KeyError:
-                raise ValueError(f"unbound variable {name!r}") from None
+            return _variable(name, as_slot)
         case Unary(_, child):
-            return -_eval_real(child, bindings)
+            inner = _compile_real(child)
+            return lambda bindings: -inner(bindings)
         case Binary(op, left, right):
-            a = _eval_real(left, bindings)
+            first = _compile_real(left)
             if op == "pow":
-                result = _pow_real(a, _exponent_value(right), expression, bindings)
-            else:
-                b = _eval_real(right, bindings)
-                if op == "add":
-                    result = a + b
-                elif op == "sub":
-                    result = a - b
-                elif op == "mul":
-                    result = a * b
-                else:
-                    if b == 0.0:
-                        raise DomainError("division by zero", expression,
-                                          _point_of(bindings))
-                    result = a / b
-            if not math.isfinite(result):
-                raise DomainError("non-finite result (overflow)", expression,
-                                  _point_of(bindings))
-            return result
+                power = _real_power(_exponent_value(right))
+                return _checked_real(expression, lambda b: power(first(b)))
+            second = _compile_real(right)
+            apply = _REAL_OPS[op]
+            return _checked_real(expression,
+                                 lambda b: apply(first(b), second(b)))
         case Call(fn, arg):
-            a = _eval_real(arg, bindings)
-            if fn == "abs":
-                return abs(a)
-            try:
-                result = jets.DERIVATIVE_TRIPLES[fn](a)[0]
-            except DomainError as err:
-                raise DomainError(err.message, expression, _point_of(bindings)) from None
-            if not math.isfinite(result):
-                raise DomainError("non-finite result (overflow)", expression,
-                                  _point_of(bindings))
-            return result
+            inner = _compile_real(arg)
+            value = jets.VALUE_FUNCTIONS[fn]
+            return _checked_real(expression, lambda b: value(inner(b)))
     raise TypeError(f"not an expression node: {expression!r}")
 
 
-def _eval_jet(expression: Expression, bindings) -> Jet2:
+def _checked_real(node: Expression, compute):
+    """``compute`` with the per-op finiteness check; a failure on floats is
+    reported at ``node``."""
+
+    def checked(bindings):
+        try:
+            result = compute(bindings)
+            if result.__class__ is float and -_INF < result < _INF:
+                return result   # a finite float: the common case, kept fast
+            return finite(result)
+        except DomainError as err:
+            raise _located(err, node, bindings) from None
+
+    return checked
+
+
+def _located(err: DomainError, node: Expression, bindings) -> DomainError:
+    """A float evaluation's failure, reported at the innermost node."""
+    if err.node is not None:
+        return err
+    return DomainError(err.message, node, _point_of(bindings))
+
+
+def _lifted(v):
+    return v if isinstance(v, Jet2) else jets.lift(v)
+
+
+_JET_OPS = {"add": jets.add, "sub": jets.sub, "mul": jets.mul, "div": jets.div}
+
+
+def _compile_jet(expression: Expression):
     match expression:
         case Constant(value):
-            return jets.lift(value)
+            constant = jets.lift(value)
+            return lambda bindings: constant
         case Variable(name):
-            try:
-                v = bindings[name]
-            except KeyError:
-                raise ValueError(f"unbound variable {name!r}") from None
-            return v if isinstance(v, Jet2) else jets.lift(v)
+            return _variable(name, _lifted)
         case Unary(_, child):
-            return -_eval_jet(child, bindings)
+            inner = _compile_jet(child)
+            return lambda bindings: -inner(bindings)
         case Binary(op, left, right):
-            a = _eval_jet(left, bindings)
-            try:
-                if op == "pow":
-                    return jets.powc(a, _exponent_value(right))
-                return jets.combine(op, a, _eval_jet(right, bindings))
-            except DomainError as err:
-                if err.node is None:
-                    raise DomainError(err.message, expression,
-                                      _point_of(bindings)) from None
-                raise
+            first = _compile_jet(left)
+            if op == "pow":
+                n = _exponent_value(right)
+                return _located_jet(expression, lambda b: jets.powc(first(b), n))
+            second = _compile_jet(right)
+            apply = _JET_OPS[op]
+            return _located_jet(expression, lambda b: apply(first(b), second(b)))
         case Call(fn, arg):
-            a = _eval_jet(arg, bindings)
-            try:
-                return jets.apply_elementary(fn, a)
-            except DomainError as err:
-                if err.node is None:
-                    raise DomainError(err.message, expression,
-                                      _point_of(bindings)) from None
-                raise
+            inner = _compile_jet(arg)
+            return _located_jet(expression,
+                                lambda b: jets.apply_elementary(fn, inner(b)))
     raise TypeError(f"not an expression node: {expression!r}")
+
+
+def _located_jet(node: Expression, compute):
+    def located(bindings):
+        try:
+            return compute(bindings)
+        except DomainError as err:
+            raise _located(err, node, bindings) from None
+
+    return located

@@ -27,7 +27,10 @@ chart) as a factor so the same grid and report machinery applies to it.
 Every factory returns a ``ConformalFactor``; its ``value``/``jet``
 methods raise ``NonPositiveFactor`` wherever the factor is not strictly
 positive, ``SingularDenominator`` inside the epsilon band around D = 0,
-and ``DomainError`` outside function domains.
+and ``DomainError`` outside function domains.  Given arrays of cell
+coordinates they evaluate every cell at once instead: a failed cell is
+NaN, and a singular one is also marked ``SINGULAR`` in the optional
+``status`` array.
 """
 
 from __future__ import annotations
@@ -38,10 +41,13 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import charts, jets
 from .errors import (
+    SINGULAR,
     BranchYieldsNonPositive,
-    DomainError,
+    EvaluationError,
     MixedChartVariables,
     NonPositiveFactor,
     QuadratureNonConvergence,
@@ -54,7 +60,7 @@ from .expressions import (
     Expression,
     Unary,
     Variable,
-    evaluate,
+    compile_expression,
     free_variables,
     parse,
     substitute,
@@ -85,6 +91,10 @@ class ConformalFactor:
     closed form when one exists, else None.  ``target_curvature`` is the
     constant R the factor is supposed to realize (None for ad-hoc
     expressions with no claim attached).
+
+    ``value_fn`` and ``jet_fn`` take (a, b, status=None) and follow the
+    module rules for floats and arrays; ``value`` and ``jet`` add the
+    positivity check.  Neither checks points against ``domain``.
     """
 
     chart: str
@@ -92,17 +102,23 @@ class ConformalFactor:
     provenance: Provenance
     target_curvature: float | None
     expression: Expression | None
-    value_fn: Callable[[float, float], float]
-    jet_fn: Callable[[float, float], Jet2]
+    value_fn: Callable[..., float]
+    jet_fn: Callable[..., Jet2]
 
-    def value(self, a: float, b: float) -> float:
+    def value(self, a, b, status=None):
+        if isinstance(a, np.ndarray):
+            w = _on_cells(self.value_fn, a, b, status, math.nan)
+            return jets.poison(w, ~(w > 0.0))
         w = self.value_fn(a, b)
         if w <= 0.0:
             raise NonPositiveFactor(
                 f"factor is {w!r} <= 0 at ({a!r}, {b!r})")
         return w
 
-    def jet(self, a: float, b: float) -> Jet2:
+    def jet(self, a, b, status=None):
+        if isinstance(a, np.ndarray):
+            w = _on_cells(self.jet_fn, a, b, status, Jet2(math.nan))
+            return jets.poison(w, ~(w.value > 0.0))
         w = self.jet_fn(a, b)
         if w.value <= 0.0:
             raise NonPositiveFactor(
@@ -111,6 +127,19 @@ class ConformalFactor:
 
     def __call__(self, a: float, b: float) -> float:
         return self.value(a, b)
+
+
+def _on_cells(fn, a, b, status, failed):
+    """``fn(a, b, status)`` on arrays of cells, broadcast to their shape."""
+    try:
+        # overflow and invalid results are poisoned cells, not warnings
+        with np.errstate(all="ignore"):
+            w = fn(a, b, status)
+    except EvaluationError:
+        # On arrays only a part that is the same for every cell, such as
+        # log(-1), is evaluated on floats and can raise: every cell fails.
+        w = failed
+    return jets.broadcast(w, a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +200,15 @@ def _single_variable(e: Expression, role: str) -> str | None:
 def _expression_factor(expr: Expression, chart: str, domain, provenance,
                        target: float | None) -> ConformalFactor:
     first, second = ("u", "v") if chart == "uv" else ("t", "x")
+    values = compile_expression(expr)
+    jet = compile_expression(expr, jet=True)
 
-    def value_fn(a: float, b: float) -> float:
-        return evaluate(expr, {first: a, second: b})
+    def value_fn(a, b, status=None):
+        return values({first: a, second: b})
 
-    def jet_fn(a: float, b: float) -> Jet2:
-        return evaluate(expr, {first: jets.seed(first, (a, b)),
-                               second: jets.seed(second, (a, b))})
+    def jet_fn(a, b, status=None):
+        return jet({first: jets.seed(first, (a, b)),
+                    second: jets.seed(second, (a, b))})
 
     return ConformalFactor(chart=chart, domain=domain, provenance=provenance,
                            target_curvature=target, expression=expr,
@@ -301,6 +332,8 @@ class Antiderivative:
     and F'' its derivative via a univariate jet.  Computed values are
     cached; each query integrates from the nearest cached abscissa, so
     repeated nearby queries stay cheap.  The cache is guarded by a lock.
+    An array of abscissae is integrated one entry at a time, in order; an
+    entry that is NaN or whose quadrature fails comes back NaN.
     """
 
     def __init__(self, integrand, reference: float = 0.0,
@@ -308,6 +341,8 @@ class Antiderivative:
                  max_depth: int = DEFAULT_MAX_DEPTH):
         self.integrand = _as_expression(integrand)
         self.variable = _single_variable(self.integrand, "integrand") or "l"
+        self._values = compile_expression(self.integrand)
+        self._jet = compile_expression(self.integrand, jet=True)
         self.reference = float(reference)
         self.tol = float(tol)
         self.max_depth = int(max_depth)
@@ -315,15 +350,18 @@ class Antiderivative:
         self._vals: list[float] = [0.0]
         self._lock = threading.Lock()
 
-    def integrand_at(self, s: float) -> float:
-        return evaluate(self.integrand, {self.variable: s})
+    def integrand_at(self, s):
+        return self._values({self.variable: s})
 
-    def integrand_jet(self, s: float) -> tuple[float, float, float]:
+    def integrand_jet(self, s):
         """(integrand, integrand', integrand'') at s, i.e. (F', F'', F''')."""
-        j = evaluate(self.integrand, {self.variable: Jet2(float(s), 1.0)})
+        j = self._jet({self.variable: Jet2(jets.as_slot(s), 1.0)})
         return j.value, j.dt, j.dtt
 
-    def value(self, s: float) -> float:
+    def value(self, s):
+        if isinstance(s, np.ndarray):
+            values = [self._value_or_nan(v) for v in s.ravel().tolist()]
+            return np.array(values, dtype=float).reshape(s.shape)
         s = float(s)
         with self._lock:
             i = bisect.bisect_left(self._keys, s)
@@ -343,37 +381,43 @@ class Antiderivative:
             self._vals.insert(i, val)
             return val
 
+    def _value_or_nan(self, s: float) -> float:
+        if math.isnan(s):
+            return math.nan
+        try:
+            return self.value(s)
+        except EvaluationError:
+            return math.nan
+
     def jet(self, inner: Jet2) -> Jet2:
         """Jet of F(inner) through second order."""
         f1, f2, _ = self.integrand_jet(inner.value)
         return jets.compose(self.value(inner.value), f1, f2, inner)
 
 
-def make_antiderivative(integrand, reference: float = 0.0,
-                        tol: float = DEFAULT_QUADRATURE_TOL,
-                        max_depth: int = DEFAULT_MAX_DEPTH) -> Antiderivative:
-    return Antiderivative(integrand, reference, tol, max_depth)
-
-
 class _ExactExp:
     """Raw antiderivative of e^s: F(s) = e^s without the F(0)=0 shift."""
 
-    @staticmethod
-    def _exp(s: float) -> float:
-        try:
-            return math.exp(s)
-        except OverflowError:
-            raise DomainError(f"exp overflow at {s!r}") from None
+    value = integrand_at = staticmethod(jets.exp)
 
-    def value(self, s: float) -> float:
-        return self._exp(s)
-
-    def integrand_at(self, s: float) -> float:
-        return self._exp(s)
-
-    def integrand_jet(self, s: float) -> tuple[float, float, float]:
-        e = self._exp(s)
+    def integrand_jet(self, s):
+        e = jets.exp(s)
         return e, e, e
+
+
+def _off_band(d, dv, eps: float, status, t, x):
+    """``d`` (a value or a Jet2 with value ``dv``) outside the singular band
+    |D| < eps.  Floats raise ``SingularDenominator`` inside it; array cells
+    inside it are marked ``SINGULAR`` in ``status`` and poisoned."""
+    near = abs(dv) < eps
+    if isinstance(near, np.ndarray):
+        if status is not None:
+            status[near] = SINGULAR
+        return jets.poison(d, near)
+    if near:
+        raise SingularDenominator(
+            f"denominator {dv!r} within {eps!r} of 0 at (t={t!r}, x={x!r})")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +471,16 @@ def liouville_factor(phi, psi, k: float, C: float, target: float,
         f_anti = Antiderivative(Call("exp", phi), 0.0, quadrature_tol)
         g_anti = Antiderivative(Call("exp", psi), 0.0, quadrature_tol)
 
-    def denominator(su: float, sv: float) -> float:
-        return (k * f_anti.value(su) - cg * g_anti.value(sv)) + C
-
-    def value_fn(t: float, x: float) -> float:
+    def value_fn(t, x, status=None):
         su = x + t
         sv = x - t
-        d = denominator(su, sv)
-        if abs(d) < singular_eps:
-            raise SingularDenominator(
-                f"denominator {d!r} within {singular_eps!r} of 0 "
-                f"at (t={t!r}, x={x!r})")
+        d = (k * f_anti.value(su) - cg * g_anti.value(sv)) + C
+        d = _off_band(d, d, singular_eps, status, t, x)
         eu = f_anti.integrand_at(su)
         ev = g_anti.integrand_at(sv)
         return (eu * ev) / (d * d)
 
-    def jet_fn(t: float, x: float) -> Jet2:
+    def jet_fn(t, x, status=None):
         jt = jets.seed("t", (t, x))
         jx = jets.seed("x", (t, x))
         ju = jets.add(jx, jt)
@@ -452,10 +490,7 @@ def liouville_factor(phi, psi, k: float, C: float, target: float,
         fu = jets.compose(f_anti.value(ju.value), iu0, iu1, ju)
         gv = jets.compose(g_anti.value(jv.value), iv0, iv1, jv)
         d = (fu * k - gv * cg) + C
-        if abs(d.value) < singular_eps:
-            raise SingularDenominator(
-                f"denominator {d.value!r} within {singular_eps!r} of 0 "
-                f"at (t={t!r}, x={x!r})")
+        d = _off_band(d, d.value, singular_eps, status, t, x)
         eu = jets.compose(iu0, iu1, iu2, ju)
         ev = jets.compose(iv0, iv1, iv2, jv)
         return (eu * ev) / (d * d)

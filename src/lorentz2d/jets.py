@@ -6,12 +6,26 @@ standard chart (t, x), but the same structure serves the null chart:
 seed ``u`` into the t-slot and ``v`` into the x-slot and every rule
 below reads unchanged.
 
+Slots hold floats, or numpy arrays with one entry per lattice cell (a
+float slot broadcasts against arrays, so constants and seed derivatives
+stay floats).  Every rule below is written once and serves both.
+
 All operations are pure; every result is checked for finiteness so that
-overflow or an indeterminate form surfaces as a ``DomainError`` instead
-of propagating NaNs into curvature formulas.  Division by a jet whose
-value is zero is a ``DomainError``.  Powers use repeated products for
-integer exponents up to |n| = 8 (preserving sign domains); any other
-exponent goes through exp/log and therefore needs a positive base.
+overflow or an indeterminate form surfaces as a failure instead of
+propagating into curvature formulas.  Division by a jet whose value is
+zero fails, as does a function applied outside its real domain.  On
+floats a failure raises ``DomainError``.  On arrays it *poisons* the
+failing cells: every slot becomes NaN there, and NaN survives every later
+operation, so a cell stays failed even when a later op would have turned
+an overflow finite again (1/inf = 0, atan(inf) = pi/2).  ``reject`` and
+``finite`` are the two checks; callers read the failure mask back as
+``isnan(value)``.  Array operations leave numpy's overflow and invalid
+warnings to the caller's ``np.errstate``: the results they flag are
+poisoned anyway.
+
+Powers use repeated products for integer exponents up to |n| = 8
+(preserving sign domains); any other exponent goes through exp/log and
+therefore needs a positive base.
 Second-order composition follows the Faa di Bruno pattern
 
     (f o a)'' = f''(a) a'^2 + f'(a) a''
@@ -23,10 +37,68 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import DomainError
 
 _POW_PRODUCT_LIMIT = 8
+
+_NUMPY = SimpleNamespace(sin=np.sin, cos=np.cos, tan=np.tan, tanh=np.tanh,
+                         log=np.log, sqrt=np.sqrt, atan=np.arctan,
+                         exp=np.exp, copysign=np.copysign)
+
+
+def backend(a):
+    """The elementary functions for ``a``: ``math`` for a float, their numpy
+    counterparts (same names) for an array."""
+    return _NUMPY if isinstance(a, np.ndarray) else math
+
+
+def as_slot(v):
+    """A binding or slot value as a float, or as a float array."""
+    if isinstance(v, np.ndarray):
+        return v.astype(float, copy=False)
+    return v if v.__class__ is float else float(v)
+
+
+def reject(bad, value, message: str):
+    """The shared domain check.
+
+    For a float, raise ``DomainError(message.format(value))`` when ``bad``
+    holds, else return ``value``.  For an array, return ``value`` with the
+    ``bad`` cells poisoned (NaN).
+    """
+    if isinstance(bad, np.ndarray):
+        return np.where(bad, np.nan, value)
+    if bad:
+        raise DomainError(message.format(value))
+    return value
+
+
+def finite(value, message: str = "non-finite result (overflow)"):
+    """The shared finiteness check on a value (see ``reject``)."""
+    if isinstance(value, np.ndarray):
+        return np.where(np.isfinite(value), value, np.nan)
+    if not math.isfinite(value):
+        raise DomainError(message)
+    return value
+
+
+def poison(w, cells):
+    """``w`` (an array or a Jet2) with every slot NaN on ``cells``."""
+    if isinstance(w, Jet2):
+        return Jet2(*(np.where(cells, np.nan, s) for s in _slots(w)))
+    return np.where(cells, np.nan, w)
+
+
+def broadcast(w, shape):
+    """``w`` (a value or a Jet2) with every slot an array of ``shape``;
+    a constant field evaluates to floats."""
+    if isinstance(w, Jet2):
+        return Jet2(*(np.broadcast_to(s, shape) for s in _slots(w)))
+    return np.broadcast_to(w, shape)
 
 
 @dataclass(slots=True)
@@ -72,30 +144,42 @@ class Jet2:
         return powc(self, exponent)
 
 
+def _slots(w: Jet2) -> tuple:
+    return (w.value, w.dt, w.dx, w.dtt, w.dtx, w.dxx)
+
+
 def _coerce(x) -> Jet2:
     if isinstance(x, Jet2):
         return x
-    return Jet2(float(x))
+    return Jet2(as_slot(x))
 
 
-def lift(value: float) -> Jet2:
+def lift(value) -> Jet2:
     """Constant jet: all derivative slots zero."""
-    return Jet2(float(value))
+    return Jet2(as_slot(value))
 
 
-def seed(variable: str, point: tuple[float, float]) -> Jet2:
+def seed(variable: str, point) -> Jet2:
     """Jet of a coordinate function at ``point`` = (first, second).
 
     ``t`` and ``u`` occupy the first slot, ``x`` and ``v`` the second.
+    The coordinates may be arrays of cell centres.
     """
     if variable in ("t", "u"):
-        return Jet2(float(point[0]), 1.0, 0.0)
+        return Jet2(as_slot(point[0]), 1.0, 0.0)
     if variable in ("x", "v"):
-        return Jet2(float(point[1]), 0.0, 1.0)
+        return Jet2(as_slot(point[1]), 0.0, 1.0)
     raise ValueError(f"unknown coordinate {variable!r}; expected one of t, x, u, v")
 
 
 def _checked(v, dt, dx, dtt, dtx, dxx) -> Jet2:
+    if isinstance(v, np.ndarray):
+        ok = np.isfinite(v)
+        for s in (dt, dx, dtt, dtx, dxx):
+            ok &= np.isfinite(s)
+        if ok.all():
+            return Jet2(v, dt, dx, dtt, dtx, dxx)
+        return poison(Jet2(v, dt, dx, dtt, dtx, dxx), ~ok)
     if (math.isfinite(v) and math.isfinite(dt) and math.isfinite(dx)
             and math.isfinite(dtt) and math.isfinite(dtx) and math.isfinite(dxx)):
         return Jet2(v, dt, dx, dtt, dtx, dxx)
@@ -124,14 +208,13 @@ def mul(a: Jet2, b: Jet2) -> Jet2:
 
 
 def div(a: Jet2, b: Jet2) -> Jet2:
-    if b.value == 0.0:
-        raise DomainError("division by a jet with value 0")
-    q = a.value / b.value
-    qt = (a.dt - q * b.dt) / b.value
-    qx = (a.dx - q * b.dx) / b.value
-    qtt = (a.dtt - 2.0 * qt * b.dt - q * b.dtt) / b.value
-    qtx = (a.dtx - qt * b.dx - qx * b.dt - q * b.dtx) / b.value
-    qxx = (a.dxx - 2.0 * qx * b.dx - q * b.dxx) / b.value
+    bv = reject(b.value == 0.0, b.value, "division by a jet with value 0")
+    q = a.value / bv
+    qt = (a.dt - q * b.dt) / bv
+    qx = (a.dx - q * b.dx) / bv
+    qtt = (a.dtt - 2.0 * qt * b.dt - q * b.dtt) / bv
+    qtx = (a.dtx - qt * b.dx - qx * b.dt - q * b.dtx) / bv
+    qxx = (a.dxx - 2.0 * qx * b.dx - q * b.dxx) / bv
     return _checked(q, qt, qx, qtt, qtx, qxx)
 
 
@@ -141,17 +224,17 @@ def powc(a: Jet2, exponent: float) -> Jet2:
     if n.is_integer() and abs(n) <= _POW_PRODUCT_LIMIT:
         m = int(n)
         if m == 0:
-            return lift(1.0)
+            # 1, kept NaN on a poisoned cell
+            return lift(a.value * 0.0 + 1.0)
         p = a
         for _ in range(abs(m) - 1):
             p = mul(p, a)
         if m < 0:
             return div(lift(1.0), p)
         return p
-    if a.value <= 0.0:
-        raise DomainError(
-            f"pow with exponent {n!r} requires a positive base (got {a.value!r})")
-    return apply_elementary("exp", mul(apply_elementary("log", a), lift(n)))
+    base = reject(a.value <= 0.0, a.value,
+                  f"pow with exponent {n!r} requires a positive base (got {{!r}})")
+    return apply_elementary("exp", mul(compose(*_d_log(base), a), lift(n)))
 
 
 def combine(op: str, a: Jet2, b) -> Jet2:
@@ -214,105 +297,168 @@ def compose_map(w: Jet2, first: Jet2, second: Jet2) -> Jet2:
     )
 
 
-# Elementary functions as (f, f', f'') triples evaluated at a real a.
+# Elementary functions.  Each has a value function, which holds its domain
+# and overflow checks and serves value evaluation, and a derivative triple
+# (f, f', f'') built on it for jets.  Both take a float or an array.  A
+# failed value poisons the whole triple, since compose checks every slot.
 # sec and sech are evaluated as 1/cos and 1/cosh with their own rules:
 #   sec''  = sec (tan^2 + sec^2)        sech'' = sech (tanh^2 - sech^2)
 
 
+def _unbounded(name: str):
+    """math.<name> for floats, whose overflow raises ``DomainError``, and
+    numpy.<name> for arrays, whose overflowed cells are poisoned."""
+    math_fn, numpy_fn = getattr(math, name), getattr(np, name)
+
+    def fn(a):
+        if isinstance(a, np.ndarray):
+            return finite(numpy_fn(a))
+        try:
+            return math_fn(a)
+        except OverflowError:
+            raise DomainError(f"{name} overflow at {a!r}") from None
+
+    return fn
+
+
+exp, _sinh, _cosh = _unbounded("exp"), _unbounded("sinh"), _unbounded("cosh")
+
+
+def _log(a):
+    return backend(a).log(reject(a <= 0.0, a, "log of non-positive value {!r}"))
+
+
+def _sin(a):
+    return backend(a).sin(a)
+
+
+def _cos(a):
+    return backend(a).cos(a)
+
+
+# tan and sec need no pole check: cos vanishes at no double (|cos x| is
+# about 4.7e-19 at worst, for the double closest to an odd multiple of
+# pi/2), so both stay finite.  The sec^2 branch is kept off its poles by
+# its factor's domain.
+def _tan(a):
+    return backend(a).tan(a)
+
+
+def _sec(a):
+    return 1.0 / backend(a).cos(a)
+
+
+def _tanh(a):
+    return backend(a).tanh(a)
+
+
+def _sech(a):
+    return 1.0 / _cosh(a)
+
+
+def _sqrt(a):
+    return backend(a).sqrt(reject(a <= 0.0, a, "sqrt of non-positive value {!r}"))
+
+
+def _atan(a):
+    return backend(a).atan(a)
+
+
+# Value functions by name.  abs is total on values; only its derivative
+# triple excludes 0.
+VALUE_FUNCTIONS = {
+    "exp": exp,
+    "log": _log,
+    "sin": _sin,
+    "cos": _cos,
+    "tan": _tan,
+    "sec": _sec,
+    "sinh": _sinh,
+    "cosh": _cosh,
+    "tanh": _tanh,
+    "sech": _sech,
+    "sqrt": _sqrt,
+    "atan": _atan,
+    "abs": abs,
+}
+
+
+def _over(num: float, d):
+    """num / d.  The denominators below can underflow to 0 for
+    subnormal-range arguments while the value slot is still fine; the lost
+    derivative is then an infinity of num's sign, which the jet
+    finiteness check rejects (a float division would raise instead)."""
+    if isinstance(d, np.ndarray) or d != 0.0:
+        return num / d
+    return math.copysign(math.inf, num)
+
+
 def _d_exp(a):
-    try:
-        v = math.exp(a)
-    except OverflowError:
-        raise DomainError(f"exp overflow at {a!r}") from None
+    v = exp(a)
     return (v, v, v)
 
 
 def _d_log(a):
-    if a <= 0.0:
-        raise DomainError(f"log of non-positive value {a!r}")
-    d2 = a * a
-    # a*a can underflow to 0 for subnormal-range a; the value slot is
-    # still fine, so report the unrepresentable derivative as -inf and
-    # let the jet finiteness check reject it.
-    return (math.log(a), 1.0 / a, -1.0 / d2 if d2 != 0.0 else -math.inf)
+    return (_log(a), 1.0 / a, _over(-1.0, a * a))
 
 
 def _d_sin(a):
-    return (math.sin(a), math.cos(a), -math.sin(a))
+    s = _sin(a)
+    return (s, _cos(a), -s)
 
 
 def _d_cos(a):
-    return (math.cos(a), -math.sin(a), -math.cos(a))
+    c = _cos(a)
+    return (c, -_sin(a), -c)
 
 
 def _d_tan(a):
-    c = math.cos(a)
-    if c == 0.0:
-        raise DomainError(f"tan pole at {a!r}")
-    tn = math.tan(a)
+    tn = _tan(a)
     s = 1.0 + tn * tn
     return (tn, s, 2.0 * tn * s)
 
 
 def _d_sec(a):
-    c = math.cos(a)
-    if c == 0.0:
-        raise DomainError(f"sec pole at {a!r}")
-    s = 1.0 / c
-    tn = math.tan(a)
+    s = _sec(a)
+    tn = backend(a).tan(a)
     return (s, s * tn, s * (tn * tn + s * s))
 
 
 def _d_sinh(a):
-    try:
-        return (math.sinh(a), math.cosh(a), math.sinh(a))
-    except OverflowError:
-        raise DomainError(f"sinh overflow at {a!r}") from None
+    sh = _sinh(a)
+    return (sh, _cosh(a), sh)
 
 
 def _d_cosh(a):
-    try:
-        return (math.cosh(a), math.sinh(a), math.cosh(a))
-    except OverflowError:
-        raise DomainError(f"cosh overflow at {a!r}") from None
+    ch = _cosh(a)
+    return (ch, _sinh(a), ch)
 
 
 def _d_tanh(a):
-    tn = math.tanh(a)
+    tn = _tanh(a)
     s = 1.0 - tn * tn
     return (tn, s, -2.0 * tn * s)
 
 
 def _d_sech(a):
-    try:
-        ch = math.cosh(a)
-    except OverflowError:
-        raise DomainError(f"cosh overflow at {a!r}") from None
-    s = 1.0 / ch
-    tn = math.tanh(a)
+    s = _sech(a)
+    tn = _tanh(a)
     return (s, -s * tn, s * (tn * tn - s * s))
 
 
 def _d_sqrt(a):
-    if a <= 0.0:
-        raise DomainError(f"sqrt of non-positive value {a!r}")
-    s = math.sqrt(a)
-    d = s * a
-    # s*a can underflow to 0 for subnormal-range a even though s itself
-    # is representable; surface the lost derivative as -inf rather than
-    # tripping a ZeroDivisionError.
-    return (s, 0.5 / s, -0.25 / d if d != 0.0 else -math.inf)
+    s = _sqrt(a)
+    return (s, 0.5 / s, _over(-0.25, s * a))
 
 
 def _d_atan(a):
     d = 1.0 + a * a
-    return (math.atan(a), 1.0 / d, -2.0 * a / (d * d))
+    return (_atan(a), 1.0 / d, -2.0 * a / (d * d))
 
 
 def _d_abs(a):
-    if a == 0.0:
-        raise DomainError("abs is not differentiable at 0")
-    return (abs(a), math.copysign(1.0, a), 0.0)
+    a = reject(a == 0.0, a, "abs is not differentiable at 0")
+    return (abs(a), backend(a).copysign(1.0, a), 0.0)
 
 
 DERIVATIVE_TRIPLES = {

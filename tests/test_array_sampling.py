@@ -1,0 +1,324 @@
+"""Array-at-a-time sampling against the one-cell-at-a-time reference.
+
+``reference_grid`` is the per-cell loop that ``sample_grid`` used to run:
+it evaluates every cell alone, with floats, through the scalar
+``factor.value``/``factor.jet`` calls and their typed exceptions.  The
+array path must classify every cell the same way and reproduce its
+values up to the last bits of numpy's transcendental functions.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lorentz2d.analysis import (
+    _BLOCK_CELLS,
+    DOMAIN_ERROR,
+    OUTSIDE,
+    SINGULAR,
+    VALID,
+    sample_grid,
+)
+from lorentz2d.charts import Diamond, Rectangle, Region, compactify
+from lorentz2d.curvature import scalar_from_factor_jet
+from lorentz2d.errors import EvaluationError, QuadratureNonConvergence, SingularDenominator
+from lorentz2d.expressions import FUNCTIONS, Binary, Call, Constant, Unary, Variable, substitute
+from lorentz2d.families import (
+    Antiderivative,
+    factor_from_expression,
+    flat_factor,
+    liouville_factor,
+    spacelike_factor,
+    timelike_factor,
+)
+
+README_R2 = "exp(2*x) * (exp(x+t) - (1/4)*exp(x-t))^(-2)"
+README_R2_NULL = "exp(u+v) * (exp(u) - (1/4)*exp(v))^(-2)"
+BOX = Rectangle(-1.0, 1.0, -1.0, 1.0)
+
+OMEGA_RTOL = 1e-10
+RICCI_ATOL = 1e-12
+# R = (-W_t^2 + W_x^2 + W (W_tt - W_xx)) / W^3 is rounded at about
+# eps * (sum of |terms|) / W^3.  Where that floor exceeds RICCI_ATOL (a
+# tiny W, e.g. near the corners of a compactified Liouville factor), R
+# is held to a small multiple of the floor instead.
+FLOOR_MULTIPLE = 32
+
+
+def rounding_floor(w):
+    terms = w.dt * w.dt + w.dx * w.dx + abs(w.value * w.dtt) + abs(w.value * w.dxx)
+    return sys.float_info.epsilon * terms / (w.value * w.value * w.value)
+
+
+def reference_grid(factor, domain, resolution, with_ricci):
+    """(omega, ricci, floor, status) from one scalar evaluation per cell."""
+    t0, t1, x0, x1 = domain.bbox()
+    n_t, n_x = resolution
+    dt, dx = (t1 - t0) / n_t, (x1 - x0) / n_x
+    ts = [t0 + (i + 0.5) * dt for i in range(n_t)]
+    xs = [x0 + (j + 0.5) * dx for j in range(n_x)]
+    omega = np.full(resolution, np.nan)
+    ricci = np.full(resolution, np.nan)
+    floor = np.full(resolution, np.nan)
+    status = np.full(resolution, OUTSIDE, dtype=np.int8)
+    for i, a in enumerate(ts):
+        for j, b in enumerate(xs):
+            if not domain.contains(a, b):
+                continue
+            if not factor.domain.contains(a, b):
+                status[i, j] = DOMAIN_ERROR
+                continue
+            try:
+                if with_ricci:
+                    w = factor.jet(a, b)
+                    omega[i, j] = w.value
+                    ricci[i, j] = scalar_from_factor_jet(w, factor.chart)
+                    floor[i, j] = rounding_floor(w)
+                else:
+                    omega[i, j] = factor.value(a, b)
+                status[i, j] = VALID
+            except SingularDenominator:
+                omega[i, j] = np.nan
+                status[i, j] = SINGULAR
+            except EvaluationError:
+                omega[i, j] = np.nan
+                status[i, j] = DOMAIN_ERROR
+    return omega, ricci, floor, status
+
+
+def assert_ricci_close(got, want, floor):
+    # a valid cell can hold a non-finite R; it must then be the same one
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    diff = np.where(same, 0.0, np.abs(got - want))
+    bound = np.fmax(RICCI_ATOL, FLOOR_MULTIPLE * floor)
+    worst = np.max(diff / bound, initial=0.0)
+    assert worst <= 1.0, f"R differs by {worst:.3g} x its bound"
+
+
+def assert_matches_reference(factor, domain, resolution, with_ricci):
+    grid = sample_grid(factor, domain, resolution, with_ricci=with_ricci)
+    omega, ricci, floor, status = reference_grid(factor, domain, resolution, with_ricci)
+    np.testing.assert_array_equal(grid.status, status)
+    valid = status == VALID
+    assert np.all(np.isnan(grid.omega[~valid]))
+    assert np.all(np.isnan(grid.s2[~valid]))
+    np.testing.assert_allclose(grid.omega[valid], omega[valid], rtol=OMEGA_RTOL, atol=0)
+    if with_ricci:
+        assert np.all(np.isnan(grid.ricci[~valid]))
+        assert_ricci_close(grid.ricci[valid], ricci[valid], floor[valid])
+    else:
+        assert np.all(np.isnan(grid.ricci))
+    return grid
+
+
+def _disc(t, x):
+    return t * t + x * x < 0.8
+
+
+CASES = {
+    "readme": lambda: (factor_from_expression(README_R2, 2.0), BOX),
+    "readme_null": lambda: (factor_from_expression(README_R2_NULL, 2.0), BOX),
+    "flat": lambda: (flat_factor("exp(0.1*l + 0.05*l^2)", "exp(0.2*sin(l))"), BOX),
+    "sec2_overhang": lambda: (timelike_factor(-4.0, 0.1, 2.0),
+                              Rectangle(-2.0, 2.0, 0.0, 6.0)),
+    "sech2": lambda: (spacelike_factor(4.0, 0.3, 1.0), Rectangle(-1.0, 1.0, -2.0, 2.0)),
+    "log_domain_errors": lambda: (factor_from_expression("log(1.5 - t^2 - x^2)"),
+                                  Rectangle(-1.5, 1.5, -1.5, 1.5)),
+    "compact_unit": lambda: (compactify(flat_factor("1", "1")), Diamond()),
+    "compact_liouville": lambda: (compactify(liouville_factor(
+        "l", "l", 1.1, 0.0, 2.0, raw_antiderivative=True, singular_eps=0.05)), Diamond()),
+    "liouville_raw": lambda: (liouville_factor("l", "l", 1.0, 0.0, 2.0,
+                                               raw_antiderivative=True, singular_eps=0.05),
+                              BOX),
+    "region": lambda: (factor_from_expression(README_R2, 2.0),
+                       Region(_disc, (-1.0, 1.0, -1.0, 1.0))),
+    "diamond": lambda: (flat_factor("exp(0.3*l)", "exp(-0.1*l^2)"), Diamond(1.5)),
+}
+
+
+@pytest.mark.parametrize("with_ricci", [True, False])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_sample_grid_matches_per_cell_reference(case, with_ricci):
+    factor, domain = CASES[case]()
+    # 37 x 41 cells: more than one block, and the last block is partial
+    assert 37 * 41 > _BLOCK_CELLS
+    grid = assert_matches_reference(factor, domain, (37, 41), with_ricci)
+    assert grid.n_valid > 0
+
+
+@pytest.mark.parametrize("with_ricci", [True, False])
+def test_shifted_liouville_matches_reference(with_ricci):
+    # a fresh factor per path: the quadrature cache then sees the same queries
+    def build():
+        return liouville_factor("0.1*l", "0.05*sin(l)", 1.0, 0.0, 2.0,
+                                singular_eps=0.05)
+
+    box = Rectangle(-1.0, 1.0, -2.0, 2.0)
+    grid = sample_grid(build(), box, (13, 17), with_ricci=with_ricci)
+    omega, ricci, floor, status = reference_grid(build(), box, (13, 17), with_ricci)
+    np.testing.assert_array_equal(grid.status, status)
+    assert grid.n_singular > 0 and grid.n_valid > 0
+    valid = status == VALID
+    np.testing.assert_allclose(grid.omega[valid], omega[valid], rtol=OMEGA_RTOL, atol=0)
+    if with_ricci:
+        assert_ricci_close(grid.ricci[valid], ricci[valid], floor[valid])
+
+
+def test_singular_cells_survive_the_compact_pullback():
+    factor, domain = CASES["compact_liouville"]()
+    grid = assert_matches_reference(factor, domain, (37, 41), True)
+    assert grid.n_singular > 0
+
+
+def test_sec2_strip_is_applied_before_evaluation():
+    factor, domain = CASES["sec2_overhang"]()
+    grid = sample_grid(factor, domain, (40, 20))
+    t = grid.ts[:, None] + np.zeros(grid.xs.shape)
+    off_strip = np.abs(t + 0.1) >= 0.5 * math.pi
+    np.testing.assert_array_equal(grid.status == DOMAIN_ERROR, off_strip)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_values_only_omega_is_bitwise_the_jet_value(case):
+    factor, domain = CASES[case]()
+    with_jets = sample_grid(factor, domain, (37, 41), with_ricci=True)
+    values = sample_grid(factor, domain, (37, 41), with_ricci=False)
+    both = (with_jets.status == VALID) & (values.status == VALID)
+    assert np.any(both)
+    np.testing.assert_array_equal(values.omega[both], with_jets.omega[both])
+
+
+def test_underflowing_cube_still_raises_like_the_reference():
+    # Omega = exp(-562.5) > 0 at |x| = 0.75, but Omega^3 underflows to 0
+    factor = factor_from_expression("exp(-1000*x^2)", 0.0)
+    with pytest.raises(ZeroDivisionError):
+        reference_grid(factor, BOX, (4, 4), True)
+    with pytest.raises(ZeroDivisionError):
+        sample_grid(factor, BOX, (4, 4))
+
+
+def test_sampling_is_deterministic():
+    factor, domain = CASES["compact_liouville"]()
+    a = sample_grid(factor, domain, (30, 30))
+    b = sample_grid(factor, domain, (30, 30))
+    for name in ("omega", "ricci", "s2", "status"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+# ---------------------------------------------------------------------------
+# Non-finite intermediates: a naive numpy path would call these cells valid
+
+NON_FINITE_INTERMEDIATES = [
+    "1 + 1/exp(1000*x)",       # 1/inf = 0
+    "1 + sech(800*x)",         # cosh overflows, 1/cosh does not
+    "1 + atan(exp(1000*x))",   # atan(inf) = pi/2
+    "(1/exp(1000*x))^0",       # x^0 = 1 even on a failed base
+    "x^-2",
+    "2 + x^-2",
+    "sqrt(x)",
+    "1 + sqrt(x)",
+    "log(x)",
+    "2 + log(x)",
+    "abs(x)",
+    "2 + abs(x)",              # total on values, not differentiable at 0
+    "x + log(-0.5)",           # a part that fails at every cell alike
+    "2 + (-1)^0.5 * x",
+]
+
+
+@pytest.mark.parametrize("with_ricci", [True, False])
+@pytest.mark.parametrize("source", NON_FINITE_INTERMEDIATES)
+def test_non_finite_intermediates_match_reference(source, with_ricci):
+    factor = factor_from_expression(source)
+    # x runs over -1.1 ... 1.1 with x = 0 as a cell centre (odd cell count)
+    domain = Rectangle(-1.0, 1.0, -1.1, 1.1)
+    grid = assert_matches_reference(factor, domain, (3, 23), with_ricci)
+    if with_ricci:
+        assert grid.n_domain_error > 0
+
+
+_LEAF = st.one_of(st.sampled_from([Variable("t"), Variable("x")]),
+                  st.sampled_from([Constant(v) for v in (0.5, 2.0, -1.0, 3.0, 700.0)]))
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(lambda c: Unary("neg", c), children),
+        st.builds(Binary, st.sampled_from(["add", "sub", "mul", "div"]), children, children),
+        st.builds(lambda c, n: Binary("pow", c, Constant(n)), children,
+                  st.sampled_from([-2.0, -1.0, 0.0, 0.5, 2.0, 3.0, 9.0])),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+    )
+
+
+BOXES = [Rectangle(-2.0, 2.0, -2.0, 2.0), Rectangle(-1.0, 1.0, -1.1, 1.1),
+         Rectangle(-800.0, 800.0, -800.0, 800.0), Rectangle(-1e-3, 1e-3, -1e-3, 1e-3)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.recursive(_LEAF, _extend, max_leaves=8), st.booleans(),
+       st.sampled_from(["tx", "uv", "compact"]), st.sampled_from(BOXES))
+def test_random_formulas_classify_like_the_reference(tree, with_ricci, chart, box):
+    if chart == "uv":
+        tree = substitute(tree, {"t": Variable("u"), "x": Variable("v")})
+    factor = factor_from_expression(tree)
+    if chart == "compact":
+        factor, box = compactify(factor), Diamond()
+    try:
+        omega, _, _, status = reference_grid(factor, box, (9, 11), with_ricci)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            sample_grid(factor, box, (9, 11), with_ricci=with_ricci)
+        return
+    grid = sample_grid(factor, box, (9, 11), with_ricci=with_ricci)
+    # Where the two differ, the sign of Omega must have been decided by
+    # rounding: numpy's transcendental functions and math's differ in the
+    # last bit, and e.g. cosh(t) - 1 cancels to +-1e-16.
+    valid_omega = np.where(status == VALID, omega, grid.omega)
+    differ = grid.status != status
+    assert not np.any(differ & ~(np.abs(valid_omega) < 1e-12))
+
+
+# ---------------------------------------------------------------------------
+# Building blocks on arrays
+
+def test_domains_test_membership_on_arrays():
+    rng = np.random.default_rng(7)
+    t = rng.uniform(-4.0, 4.0, 500)
+    x = rng.uniform(-4.0, 4.0, 500)
+    t[:3], x[:3] = (1.0, -1.0, 0.0), (2.0, 0.5, math.pi)   # boundary points
+    for domain in (Rectangle(-1.0, 1.0, -2.0, 2.0), Diamond(), Diamond(1.5),
+                   Region(_disc, (-1.0, 1.0, -1.0, 1.0))):
+        expect = [domain.contains(float(a), float(b)) for a, b in zip(t, x)]
+        np.testing.assert_array_equal(domain.contains(t, x), expect)
+
+
+def test_antiderivative_integrates_arrays_one_abscissa_at_a_time():
+    s = np.array([0.3, np.nan, -0.2, 1.5, 0.3, 0.05])
+    scalar = Antiderivative("exp(-400*l^2)", tol=1e-13, max_depth=2)
+    expect = []
+    for v in s:
+        try:
+            expect.append(math.nan if math.isnan(v) else scalar.value(float(v)))
+        except QuadratureNonConvergence:
+            expect.append(math.nan)
+    assert any(math.isnan(e) for e in expect[2:])   # some quadratures fail
+    got = Antiderivative("exp(-400*l^2)", tol=1e-13, max_depth=2).value(s)
+    np.testing.assert_array_equal(got, expect)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "lorentz2d", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert "usage: lorentz2d" in proc.stdout

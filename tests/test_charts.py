@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentz2d.charts import (
-    ChartPoint,
     Diamond,
     Rectangle,
     Region,
@@ -98,12 +97,6 @@ def test_region_wraps_predicate():
     assert not disc.contains(0.9, 0.9)
     assert disc.bbox() == (-1.0, 1.0, -1.0, 1.0)
     assert disc.is_bounded
-
-
-def test_chart_point():
-    p = ChartPoint("uv", 0.3, -0.1)
-    assert p.as_tuple() == (0.3, -0.1)
-    assert p.chart == "uv"
 
 
 # ---------------------------------------------------------------------------

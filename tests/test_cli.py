@@ -37,10 +37,6 @@ def test_check_wrong_claim_fails(capsys):
     assert "FAIL" in out
 
 
-def test_check_seed_flag_is_accepted():
-    assert main(["check", "--omega", "1", "--target", "0", "--seed", "7"]) == 0
-
-
 def test_check_json_export(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     rc = main(["check", "--omega", "1", "--target", "0",

@@ -24,7 +24,6 @@ from lorentz2d.families import (
     factor_from_expression,
     flat_factor,
     liouville_factor,
-    make_antiderivative,
     spacelike_factor,
     timelike_factor,
 )
@@ -194,27 +193,27 @@ def test_timelike_factor_symmetric_about_shift(c1, c2, delta):
 # Antiderivatives
 
 def test_antiderivative_vanishes_at_reference():
-    F = make_antiderivative("exp(l)")
+    F = Antiderivative("exp(l)")
     assert F.value(0.0) == 0.0
-    G = make_antiderivative("exp(l)", reference=1.0)
+    G = Antiderivative("exp(l)", reference=1.0)
     assert G.value(1.0) == 0.0
 
 
 def test_antiderivative_of_exponential():
-    F = make_antiderivative("exp(l)")
+    F = Antiderivative("exp(l)")
     assert math.isclose(F.value(1.0), math.e - 1.0, rel_tol=0, abs_tol=1e-10)
     assert math.isclose(F.value(-1.0), math.exp(-1.0) - 1.0, abs_tol=1e-10)
 
 
 def test_antiderivative_of_constant_is_identity():
-    F = make_antiderivative("1")
+    F = Antiderivative("1")
     assert F.integrand_at(3.7) == 1.0
     assert math.isclose(F.value(2.5), 2.5, rel_tol=1e-13)
     assert math.isclose(F.value(-1.25), -1.25, rel_tol=1e-13)
 
 
 def test_antiderivative_against_composite_simpson():
-    F = make_antiderivative("exp(sin(l))")
+    F = Antiderivative("exp(sin(l))")
     xs = np.linspace(0.0, 2.0, 2_000_001)
     ys = np.exp(np.sin(xs))
     h = xs[1] - xs[0]
@@ -226,7 +225,7 @@ def test_antiderivative_against_composite_simpson():
 
 
 def test_antiderivative_fundamental_theorem():
-    F = make_antiderivative("exp(sin(l))")
+    F = Antiderivative("exp(sin(l))")
     h = 1e-3
     for s in (-0.8, 0.0, 0.7, 1.9):
         slope = (F.value(s + h) - F.value(s - h)) / (2.0 * h)
@@ -234,13 +233,13 @@ def test_antiderivative_fundamental_theorem():
 
 
 def test_antiderivative_additivity():
-    F = make_antiderivative("exp(sin(l))")
-    G = make_antiderivative("exp(sin(l))", reference=1.0)
+    F = Antiderivative("exp(sin(l))")
+    G = Antiderivative("exp(sin(l))", reference=1.0)
     assert abs((F.value(2.0) - F.value(1.0)) - G.value(2.0)) < 2e-10
 
 
 def test_antiderivative_integrand_jet():
-    F = make_antiderivative("l^2")
+    F = Antiderivative("l^2")
     v, d1, d2 = F.integrand_jet(1.5)
     assert v == 2.25
     assert d1 == 3.0
@@ -248,7 +247,7 @@ def test_antiderivative_integrand_jet():
 
 
 def test_antiderivative_jet_composition():
-    F = make_antiderivative("exp(l)")
+    F = Antiderivative("exp(l)")
     inner = seed("t", (0.4, 0.0)) + 2.0 * seed("x", (0.4, -0.1))
     j = F.jet(inner)
     e = math.exp(inner.value)
@@ -260,11 +259,11 @@ def test_antiderivative_jet_composition():
 
 def test_antiderivative_rejects_multivariable_integrand():
     with pytest.raises(ValueError):
-        make_antiderivative("t*x")
+        Antiderivative("t*x")
 
 
 def test_antiderivative_nonconvergence():
-    F = make_antiderivative("exp(-400*l^2)", tol=1e-13, max_depth=2)
+    F = Antiderivative("exp(-400*l^2)", tol=1e-13, max_depth=2)
     with pytest.raises(QuadratureNonConvergence) as info:
         F.value(1.0)
     assert info.value.achieved_error > 0.0
@@ -272,10 +271,10 @@ def test_antiderivative_nonconvergence():
 
 def test_antiderivative_threaded_queries_match_sequential():
     points = [round(-1.1 + 0.037 * i, 6) for i in range(61)]
-    threaded = make_antiderivative("exp(sin(l))")
+    threaded = Antiderivative("exp(sin(l))")
     with ThreadPoolExecutor(max_workers=4) as pool:
         got = list(pool.map(threaded.value, points))
-    sequential = make_antiderivative("exp(sin(l))")
+    sequential = Antiderivative("exp(sin(l))")
     want = [sequential.value(p) for p in points]
     assert all(abs(g - w) < 2e-9 for g, w in zip(got, want))
 
