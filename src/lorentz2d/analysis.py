@@ -14,11 +14,15 @@ bitwise-identical arrays.
 
 ``constancy_report`` aggregates the curvature deviation from a target
 constant.  ``extract_level_sets`` runs marching squares on the interval
-field s^2 = Omega (x^2 - t^2), resolving saddle cells by the average of
-the four corners; emitted vertices are then polished by bisection along
-their lattice edge against the directly evaluated field, and vertices
-that cannot reach the residual bound (crossings of a singular curve,
-where the field jumps between branches) are pruned.
+field s^2 = Omega (x^2 - t^2) on whole arrays, one level at a time: cell
+cases come from shifted views of one ``s2 >= level`` mask, saddle cells
+are resolved by the average of their four corners, and a small table
+turns cases into segments between numbered lattice edges.  Each crossing
+edge gets one vertex, polished by bisection along the edge against the
+directly evaluated field, all of a level's edges in lockstep.  A vertex
+is *pruned*, with its segments, when its best residual misses the bound
+or the field fails (NaN) on the way: such a crossing is a jump of the
+field across a singular curve, not a point of the level set.
 
 Exports: grid -> CSV, report -> JSON, level sets -> CSV or SVG.  The SVG
 maps the domain onto a fixed 800x800 viewport, one path per polyline
@@ -34,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .charts import interval_field, interval_from_omega
 from .curvature import scalar_from_factor_jet
 from .errors import (
     DOMAIN_ERROR,
@@ -41,7 +46,6 @@ from .errors import (
     SINGULAR,
     VALID,
     EmptyDomain,
-    EvaluationError,
     NoValidSamples,
 )
 
@@ -91,12 +95,6 @@ class SampleGrid:
     @property
     def n_sampled(self) -> int:
         return self.n_valid + self.n_singular + self.n_domain_error
-
-
-def _interval(omega: float, a: float, b: float, chart: str) -> float:
-    if chart == "uv":
-        return omega * (a * b)
-    return omega * (b * b - a * a)
 
 
 def sample_grid(factor, domain=None, resolution: tuple[int, int] = (50, 50),
@@ -153,7 +151,7 @@ def sample_grid(factor, domain=None, resolution: tuple[int, int] = (50, 50),
                 om = factor.value(a, b, code)
             code[np.isnan(om) & (code == VALID)] = DOMAIN_ERROR
             omega_c[cells] = om
-            s2_c[cells] = _interval(om, a, b, chart)
+            s2_c[cells] = interval_from_omega(om, a, b, chart)
             status_c[cells] = code
 
     if sampled == 0:
@@ -225,87 +223,119 @@ def constancy_report(grid: SampleGrid, target: float | None = None,
 
 @dataclass
 class LevelSet:
+    """Polylines of s^2 = level.  ``n_pruned`` counts the crossing edges
+    whose vertex was dropped, ``max_residual`` is the largest |s^2 - level|
+    of a kept refined vertex (NaN if none, or without refinement) and
+    ``bisections`` the field evaluations that refinement spent."""
+
     level: float
     polylines: list
+    n_pruned: int = 0
+    max_residual: float = math.nan
+    bisections: int = 0
 
 
-# Segment endpoints per marching-squares case; corners are bits
-# 1=(i,j), 2=(i,j+1), 4=(i+1,j+1), 8=(i+1,j); edges are "b"ottom,
-# "r"ight, "t"op, "l"eft.  Cases 5 and 10 are saddles, resolved by the
-# average of the four corner values.
-_CASES = {
-    0: (), 15: (),
-    1: (("l", "b"),), 14: (("l", "b"),),
-    2: (("b", "r"),), 13: (("b", "r"),),
-    3: (("l", "r"),), 12: (("l", "r"),),
-    4: (("t", "r"),), 11: (("t", "r"),),
-    6: (("b", "t"),), 9: (("b", "t"),),
-    7: (("l", "t"),), 8: (("l", "t"),),
-}
+# Marching squares.  A cell's corners are bits 1=(i,j), 2=(i,j+1),
+# 4=(i+1,j+1), 8=(i+1,j) of its case; its edges are codes 0=bottom
+# (i,j)-(i,j+1), 1=right (i,j+1)-(i+1,j+1), 2=top (i+1,j)-(i+1,j+1) and
+# 3=left (i,j)-(i+1,j).  Row ``case + 16 * center_in`` of the table holds
+# the cell's segments as edge-code pairs, -1 where there is none; only
+# the saddle cases 5 and 10 depend on whether the average of the four
+# corners is at or above the level.
+_B, _R, _T, _L = range(4)
+_SEGMENTS = np.full((32, 2, 2), -1, dtype=np.int8)
+for _case, _pair in ((1, (_L, _B)), (2, (_B, _R)), (3, (_L, _R)),
+                     (4, (_T, _R)), (6, (_B, _T)), (7, (_L, _T))):
+    _SEGMENTS[[_case, 15 - _case, 16 + _case, 31 - _case], 0] = _pair
+_SEGMENTS[[5, 10 + 16]] = ((_L, _B), (_T, _R))
+_SEGMENTS[10], _SEGMENTS[5 + 16] = ((_B, _R), (_L, _T)), ((_L, _T), (_B, _R))
+del _case, _pair
+_HAS_SEGMENTS = _SEGMENTS[:, 0, 0] >= 0
 
 
-def _cell_edges(i: int, j: int) -> dict:
-    return {
-        "b": ((i, j), (i, j + 1)),
-        "r": ((i, j + 1), (i + 1, j + 1)),
-        "t": ((i + 1, j), (i + 1, j + 1)),
-        "l": ((i, j), (i + 1, j)),
-    }
+def _crossing_segments(s2, ok_cells, level: float):
+    """(first, second) edge ids of every marching-squares segment.
 
-
-def _field_fn(grid: SampleGrid):
-    factor = grid.factor
-    chart = grid.chart
-
-    def field(a: float, b: float) -> float:
-        return _interval(factor.value(a, b), a, b, chart)
-
-    return field
-
-
-def _refine_vertex(field, level: float, pa, fa, pb, fb, target: float,
-                   bound: float, max_bisections: int):
-    """Locate s^2 = level on the segment pa-pb by bisection.
-
-    fa, fb are the (exact) field values at the endpoints, straddling the
-    level.  Returns a point or None when the residual bound cannot be
-    met (e.g. the field jumps across a singular curve inside the edge).
+    Edge ids number the horizontal lattice edges (i,j)-(i,j+1) row-major
+    first, then the vertical ones (i,j)-(i+1,j).  Segments come in
+    row-major cell order, in the table's order within a cell.
     """
-    if fa == level:
-        return pa
-    if fb == level:
-        return pb
-    # first guess: linear interpolation, usually already good enough
-    theta = (level - fa) / (fb - fa)
-    guess = (pa[0] + theta * (pb[0] - pa[0]), pa[1] + theta * (pb[1] - pa[1]))
-    try:
-        fg = field(*guess)
-    except EvaluationError:
-        return None
-    if abs(fg - level) <= target:
-        return guess
-    lo, flo, hi, fhi = pa, fa, pb, fb
-    if (flo < level) == (fg < level):
-        lo, flo = guess, fg
-    else:
-        hi, fhi = guess, fg
-    best, best_res = guess, abs(fg - level)
-    for _ in range(max_bisections):
-        mid = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
-        try:
-            fm = field(*mid)
-        except EvaluationError:
-            return None
-        res = abs(fm - level)
-        if res < best_res:
-            best, best_res = mid, res
-        if res <= target:
-            return mid
-        if (flo < level) == (fm < level):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return best if best_res <= bound else None
+    n_x = s2.shape[1]
+    above = s2 >= level
+    case = (above[:-1, :-1].view(np.uint8)
+            | (above[:-1, 1:].view(np.uint8) << 1)
+            | (above[1:, 1:].view(np.uint8) << 2)
+            | (above[1:, :-1].view(np.uint8) << 3))
+    case[~ok_cells] = 0
+    si, sj = np.nonzero((case == 5) | (case == 10))
+    center = ((((s2[si, sj] + s2[si, sj + 1]) + s2[si + 1, sj + 1])
+               + s2[si + 1, sj]) / 4.0) >= level
+    case[si, sj] += center.view(np.uint8) << 4
+    cells = np.flatnonzero(_HAS_SEGMENTS[case])   # also their bottom edges' ids
+    codes = _SEGMENTS[case.ravel()[cells]].astype(np.intp)   # (cell, pair, end)
+    left = s2.shape[0] * (n_x - 1) + cells + cells // (n_x - 1)
+    edges = np.stack([cells, left + 1, cells + n_x - 1, left], axis=1)
+    ids = np.take_along_axis(edges, codes.reshape(-1, 4), axis=1)
+    ids = ids.reshape(-1, 2, 2)[codes[:, :, 0] >= 0]
+    return ids[:, 0], ids[:, 1]
+
+
+def _edge_ends(edges, n_t: int, n_x: int):
+    """Lattice indices (ia, ja, ib, jb) of the two ends of ``edges``."""
+    vertical = edges >= n_t * (n_x - 1)
+    ia, ja = np.where(vertical, np.divmod(edges - n_t * (n_x - 1), n_x),
+                      np.divmod(edges, n_x - 1))
+    return ia, ja, ia + vertical, ja + ~vertical
+
+
+def _refine(factor, level: float, t, x, pa, pb, fa, fb, target: float,
+            bound: float, max_bisections: int):
+    """Locate s^2 = level on every crossing edge pa-pb at once.
+
+    ``pa``/``pb`` are (t, x) array pairs with exact field values ``fa``/``fb``;
+    ``t``/``x`` hold the linear guesses and are moved in place to the
+    vertices.  An exact endpoint is kept as is; other edges bisect in
+    lockstep until |s^2 - level| meets ``target``, else keep their best
+    point if within ``bound``.  A NaN (failed) field value prunes its
+    vertex.  Returns (keep, residual, field evaluations).
+    """
+    hit_a = fa == level
+    keep = hit_a | (fb == level)
+    t[keep] = np.where(hit_a, pa[0], pb[0])[keep]
+    x[keep] = np.where(hit_a, pa[1], pb[1])[keep]
+    residual = np.zeros(fa.shape)
+    idx = np.flatnonzero(~keep)
+    pt_t, pt_x, lo_t, lo_x, hi_t, hi_x, flo = (
+        v[idx] for v in (t, x, *pa, *pb, fa))
+    best_t, best_x, best_res = pt_t, pt_x, np.full(idx.size, np.inf)
+    evaluations = 0
+    for step in range(max(max_bisections, 0) + 1):   # the guess, then midpoints
+        if step:
+            pt_t, pt_x = 0.5 * (lo_t + hi_t), 0.5 * (lo_x + hi_x)
+        f = interval_field(factor, pt_t, pt_x)
+        evaluations += idx.size
+        res = abs(f - level)
+        better = res < best_res
+        best_t, best_x = np.where(better, pt_t, best_t), np.where(better, pt_x, best_x)
+        best_res = np.where(better, res, best_res)
+        done = res <= target
+        t[idx[done]], x[idx[done]], residual[idx[done]] = pt_t[done], pt_x[done], res[done]
+        keep[idx[done]] = True
+        low = (flo < level) == (f < level)
+        lo_t, lo_x, flo = (np.where(low, pt_t, lo_t), np.where(low, pt_x, lo_x),
+                           np.where(low, f, flo))
+        hi_t, hi_x = np.where(low, hi_t, pt_t), np.where(low, hi_x, pt_x)
+        active = ~done & ~np.isnan(res)
+        idx, lo_t, lo_x, hi_t, hi_x, flo, best_t, best_x, best_res = (
+            v[active] for v in (idx, lo_t, lo_x, hi_t, hi_x, flo,
+                                best_t, best_x, best_res))
+        if not idx.size:
+            break
+    close = best_res <= bound
+    t[idx[close]], x[idx[close]] = best_t[close], best_x[close]
+    residual[idx[close]] = best_res[close]
+    keep[idx[close]] = True
+    return keep, residual, evaluations
 
 
 def extract_level_sets(grid: SampleGrid, levels, refine: bool = True,
@@ -323,58 +353,37 @@ def extract_level_sets(grid: SampleGrid, levels, refine: bool = True,
     """
     s2 = grid.s2
     ok = grid.status == VALID
-    n_t, n_x = s2.shape
-    field = _field_fn(grid)
+    ok_cells = ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1]
     result = []
-    for level in levels:
-        level = float(level)
-        verts: dict = {}
-        segments = []
-        for i in range(n_t - 1):
-            for j in range(n_x - 1):
-                if not (ok[i, j] and ok[i, j + 1] and ok[i + 1, j] and ok[i + 1, j + 1]):
-                    continue
-                corners = (float(s2[i, j]), float(s2[i, j + 1]),
-                           float(s2[i + 1, j + 1]), float(s2[i + 1, j]))
-                case = ((corners[0] >= level)
-                        + ((corners[1] >= level) << 1)
-                        + ((corners[2] >= level) << 2)
-                        + ((corners[3] >= level) << 3))
-                if case == 5 or case == 10:
-                    center_in = (sum(corners) / 4.0) >= level
-                    if case == 5:
-                        pairs = ((("l", "t"), ("b", "r")) if center_in
-                                 else (("l", "b"), ("t", "r")))
-                    else:
-                        pairs = ((("l", "b"), ("t", "r")) if center_in
-                                 else (("b", "r"), ("l", "t")))
-                else:
-                    pairs = _CASES[case]
-                if not pairs:
-                    continue
-                edges = _cell_edges(i, j)
-                for ea, eb in pairs:
-                    segments.append((edges[ea], edges[eb]))
-                    for key in (edges[ea], edges[eb]):
-                        if key in verts:
-                            continue
-                        (ia, ja), (ib, jb) = key
-                        pa = (float(grid.ts[ia]), float(grid.xs[ja]))
-                        pb = (float(grid.ts[ib]), float(grid.xs[jb]))
-                        fa, fb = float(s2[ia, ja]), float(s2[ib, jb])
-                        if refine:
-                            verts[key] = _refine_vertex(
-                                field, level, pa, fa, pb, fb,
-                                refine_target, residual_bound, max_bisections)
-                        else:
-                            theta = 0.0 if fb == fa else (level - fa) / (fb - fa)
-                            verts[key] = (pa[0] + theta * (pb[0] - pa[0]),
-                                          pa[1] + theta * (pb[1] - pa[1]))
-
-        live = [seg for seg in segments
-                if verts.get(seg[0]) is not None and verts.get(seg[1]) is not None]
-        polylines = _chain_segments(live, verts)
-        result.append(LevelSet(level=level, polylines=polylines))
+    # overflow and invalid results are pruned (NaN) vertices, not warnings
+    with np.errstate(all="ignore"):
+        for level in levels:
+            level = float(level)
+            first, second = _crossing_segments(s2, ok_cells, level)
+            # the distinct crossing edges (np.unique would import numpy.ma)
+            edges = np.sort(np.concatenate([first, second]))
+            edges = edges[np.diff(edges, prepend=-1) != 0]
+            ia, ja, ib, jb = _edge_ends(edges, *s2.shape)
+            pa, pb = (grid.ts[ia], grid.xs[ja]), (grid.ts[ib], grid.xs[jb])
+            fa, fb = s2[ia, ja], s2[ib, jb]
+            theta = (level - fa) / (fb - fa)
+            t, x = pa[0] + theta * (pb[0] - pa[0]), pa[1] + theta * (pb[1] - pa[1])
+            keep, residual = np.ones(edges.size, dtype=bool), np.full(edges.size, np.nan)
+            evaluations = 0
+            if refine:
+                keep, residual, evaluations = _refine(
+                    grid.factor, level, t, x, pa, pb, fa, fb, refine_target,
+                    residual_bound, max_bisections)
+            verts = dict(zip(edges[keep].tolist(), zip(t[keep].tolist(), x[keep].tolist())))
+            live = keep[np.searchsorted(edges, first)] & keep[np.searchsorted(edges, second)]
+            kept = residual[keep]
+            result.append(LevelSet(
+                level=level,
+                polylines=_chain_segments(
+                    list(zip(first[live].tolist(), second[live].tolist())), verts),
+                n_pruned=edges.size - kept.size,
+                max_residual=float(kept.max()) if kept.size else math.nan,
+                bisections=evaluations))
     return result
 
 

@@ -203,15 +203,20 @@ def compactify(factor) -> "ConformalFactor":
     )
 
 
-def interval_field(factor, a: float, b: float) -> float:
+def interval_from_omega(omega, a, b, chart: str):
+    """s^2 (see ``interval_field``) from the factor value at (a, b)."""
+    if chart == "uv":
+        return omega * (a * b)
+    return omega * (b * b - a * a)
+
+
+def interval_field(factor, a, b, status=None):
     """Squared-interval diagnostic s^2 = Omega * (x^2 - t^2).
 
     In the null chart the analogue is Omega * u v (the same quantity,
     since x^2 - t^2 = u v).  Level sets of s^2 are the constant-interval
     curves drawn in conformal diagrams; s^2 = 0 picks out the null rays
-    through the origin in every chart.
+    through the origin in every chart.  Floats or arrays (``status`` as in
+    ``factor.value``: failing array points are NaN).
     """
-    w = factor.value(a, b)
-    if factor.chart == "uv":
-        return w * (a * b)
-    return w * (b * b - a * a)
+    return interval_from_omega(factor.value(a, b, status), a, b, factor.chart)

@@ -333,7 +333,8 @@ def _cmd_contour(cfg: dict) -> int:
         print(f"wrote {out}")
     for ls in sets:
         n_pts = sum(len(p) for p in ls.polylines)
-        print(f"level {ls.level:g}: {len(ls.polylines)} polylines, {n_pts} vertices")
+        print(f"level {ls.level:g}: {len(ls.polylines)} polylines, {n_pts} vertices, "
+              f"{ls.n_pruned} pruned")
     return 0
 
 

@@ -237,27 +237,6 @@ def powc(a: Jet2, exponent: float) -> Jet2:
     return apply_elementary("exp", mul(compose(*_d_log(base), a), lift(n)))
 
 
-def combine(op: str, a: Jet2, b) -> Jet2:
-    """Binary combination; ``op`` is one of add, sub, mul, div, pow.
-
-    For ``pow`` the second operand must be a real constant.
-    """
-    if op == "pow":
-        if isinstance(b, Jet2):
-            if b.dt == b.dx == b.dtt == b.dtx == b.dxx == 0.0:
-                return powc(a, b.value)
-            raise ValueError("pow exponent must be a constant")
-        return powc(a, float(b))
-    try:
-        fn = _BINARY[op]
-    except KeyError:
-        raise ValueError(f"unknown binary op {op!r}") from None
-    return fn(a, _coerce(b))
-
-
-_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-
 def compose(f0: float, f1: float, f2: float, inner: Jet2) -> Jet2:
     """Jet of f(inner) given f, f', f'' at inner.value."""
     return _checked(

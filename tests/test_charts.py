@@ -19,7 +19,7 @@ from lorentz2d.charts import (
     to_null,
 )
 from lorentz2d.curvature import ricci_from_omega
-from lorentz2d.errors import DomainError
+from lorentz2d.errors import SINGULAR, VALID, DomainError
 from lorentz2d.expressions import evaluate, parse, unparse
 from lorentz2d.families import (
     factor_from_expression,
@@ -208,3 +208,22 @@ def test_interval_field_vanishes_on_null_rays():
     for a in (0.3, 0.9, 1.4):
         assert interval_field(c, a, a) == 0.0
         assert interval_field(c, a, -a) == 0.0
+
+
+def test_interval_field_on_arrays():
+    # the same product as on floats; a failing point is NaN and a point in
+    # the singular band is marked in ``status``
+    f = liouville_factor("0", "0", k=1.0, C=1.0, target=2.0, singular_eps=0.2)
+    t = np.array([-0.3, 0.1, 0.2, -0.5])
+    x = np.array([0.4, -0.2, 0.2, -0.5])
+    status = np.full(4, VALID, dtype=np.int8)
+    got = interval_field(f, t, x, status)
+    assert status.tolist() == [VALID, VALID, VALID, SINGULAR]
+    for k in range(3):
+        assert got[k] == interval_field(f, float(t[k]), float(x[k]))
+    assert math.isnan(got[3])
+    u = np.array([0.3, -0.5])
+    v = np.array([-0.1, 0.2])
+    n = factor_from_expression("(u - 0.25*v + 1)^(-2)")
+    assert interval_field(n, u, v).tolist() == [interval_field(n, 0.3, -0.1),
+                                               interval_field(n, -0.5, 0.2)]

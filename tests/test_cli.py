@@ -142,7 +142,19 @@ def test_contour_svg_output(tmp_path, capsys):
     assert f"wrote {out_file}" in out
     assert "level 1: 2 polylines" in out
     assert "level -1: 2 polylines" in out
+    assert "vertices, 0 pruned" in out
     assert out_file.read_text().startswith("<svg")
+
+
+def test_contour_reports_pruned_vertices(capsys):
+    # Omega jumps from ~0 to ~e^40 across x + t = 1: the crossings there
+    # are no level points and get pruned
+    rc = main(["contour", "--omega", "exp(1/(x + t - 1))", "--domain",
+               "rect:-2,2,-2,2", "--grid", "41x41", "--levels", "0.5,2"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "level 0.5: 2 polylines, 86 vertices, 30 pruned" in out
+    assert "level 2: 2 polylines, 52 vertices, 30 pruned" in out
 
 
 def test_contour_csv_output(tmp_path, capsys):

@@ -11,7 +11,6 @@ from lorentz2d.jets import (
     Jet2,
     add,
     apply_elementary,
-    combine,
     compose,
     compose_map,
     div,
@@ -184,39 +183,6 @@ def test_fractional_power_needs_positive_base():
         powc(lift(-2.0), 9.0)  # beyond the repeated-product window
     with pytest.raises(DomainError):
         powc(lift(0.0), -2.0)
-
-
-# ---------------------------------------------------------------------------
-# combine dispatch
-
-def test_combine_binary_ops():
-    a = seed("t", (2.0, 5.0))
-    b = seed("x", (2.0, 5.0))
-    assert combine("add", a, b) == add(a, b)
-    assert combine("mul", a, 3.0) == mul(a, lift(3.0))
-    assert combine("div", a, 2.0) == div(a, lift(2.0))
-
-
-def test_combine_pow_with_constant_jet():
-    j = seed("t", (1.5, 0.0))
-    assert combine("pow", j, Jet2(2.0)) == powc(j, 2.0)
-    assert combine("pow", j, 2.0) == powc(j, 2.0)
-
-
-def test_combine_pow_with_varying_exponent():
-    j = seed("t", (1.5, 0.0))
-    with pytest.raises(ValueError):
-        combine("pow", j, seed("x", (1.5, 2.0)))
-
-
-def test_combine_unknown_op():
-    with pytest.raises(ValueError):
-        combine("mod", lift(1.0), lift(1.0))
-
-
-def test_combine_div_by_zero():
-    with pytest.raises(DomainError):
-        combine("div", lift(1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
