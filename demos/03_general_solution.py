@@ -10,8 +10,10 @@ antiderivatives of e^phi and e^psi.  Two evaluation modes coexist:
 * ``raw_antiderivative=True`` keeps F(s) = e^s exactly when phi and psi
   are the bare variable, reproducing the closed form
   e^{2x} (e^{x+t} - 1/4 e^{x-t})^{-2} with R = 2;
-* the default mode anchors F and G at 0 by adaptive quadrature, which
-  handles arbitrary envelopes; the anchoring constant is absorbed by C.
+* the default mode anchors F and G at 0 and tabulates them once, as
+  piecewise Chebyshev interpolants of e^phi and e^psi, which handles
+  arbitrary envelopes; the anchoring constant is absorbed by C, and a
+  value does not depend on the points queried before it.
 
 The script checks both modes, cross-checks a quadrature-backed draw
 against the finite-difference oracle, and writes the compactified

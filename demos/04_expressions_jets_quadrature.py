@@ -1,4 +1,4 @@
-"""The numerical core: expressions, exact jets, adaptive quadrature.
+"""The numerical core: expressions, exact jets, tabulated quadrature.
 
 Everything above the factor families rests on three small pieces:
 
@@ -9,9 +9,11 @@ Everything above the factor families rests on three small pieces:
   (value, d/dt, d/dx, d2/dt2, d2/dtdx, d2/dx2) through arithmetic and
   elementary functions, so curvature needs no symbolic differentiation
   and no finite differences;
-* ``Antiderivative``, an adaptive-Simpson integral with anchor caching
-  that exposes itself to the jet machinery through the fundamental
-  theorem of calculus (its derivative slots are the integrand, exact).
+* ``Antiderivative``, an integral tabulated once as a piecewise
+  Chebyshev interpolant on panels laid outward from its reference, so
+  each value is a pure function of its abscissa; it exposes itself to
+  the jet machinery through the fundamental theorem of calculus (its
+  derivative slots are the integrand, exact).
 
 The script walks through each piece at a worked point.
 """

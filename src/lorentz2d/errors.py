@@ -73,11 +73,12 @@ class SingularDenominator(EvaluationError):
 
 
 class QuadratureNonConvergence(EvaluationError):
-    """Adaptive quadrature hit its maximum depth before meeting the
-    requested tolerance.
+    """A panel of a tabulated antiderivative still missed the requested
+    tolerance after its maximum number of halvings; every abscissa beyond
+    that panel raises it.
 
     Attributes:
-        achieved_error: error estimate of the best refinement reached.
+        achieved_error: error estimate of the last, narrowest panel tried.
     """
 
     def __init__(self, message: str, achieved_error: float):

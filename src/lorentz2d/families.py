@@ -13,9 +13,12 @@ Solutions of R(Omega) = R0 on 2D Minkowski space come in three families:
 
   with u = x+t, v = x-t and F, G antiderivatives of e^{phi}, e^{psi}.
 
-Antiderivatives are evaluated by adaptive Simpson quadrature from a
-fixed reference point (F(0) = 0); the constant that a different
-reference would add is absorbed by C.  A useful consequence of the jet
+Antiderivatives are tabulated once per factor as piecewise Chebyshev
+interpolants on panels built outward from a fixed reference point
+(F(0) = 0); the constant that a different reference would add is
+absorbed by C.  Reading F is a table lookup that calls no integrand, so
+a factor's value at a point does not depend on what was queried before,
+in which order or from which thread.  A useful consequence of the jet
 evaluation: the computed curvature of a Liouville factor is insensitive
 to quadrature error in F and G, because a value-only perturbation of D
 is pointwise equivalent to a shift of C, which stays inside the family
@@ -35,11 +38,9 @@ NaN, and a singular one is also marked ``SINGULAR`` in the optional
 
 from __future__ import annotations
 
-import bisect
 import math
-import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from . import charts, jets
 from .errors import (
     SINGULAR,
     BranchYieldsNonPositive,
+    DomainError,
     EvaluationError,
     MixedChartVariables,
     NonPositiveFactor,
@@ -291,49 +293,134 @@ def spacelike_factor(d1: float, d2: float, target: float) -> ConformalFactor:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature-backed antiderivatives
+# Tabulated antiderivatives
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int) -> float:
-    if a == b:
-        return 0.0
-    if b < a:
-        return -_adaptive_simpson(f, b, a, tol, max_depth)
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, max_depth)
+_CHEB_N = 16
+_BASE_WIDTH = 0.5      # the first panel on each side of the reference
+_BATCH = 8             # panels sampled by one integrand call
+_NOISE = _CHEB_N * float(np.finfo(float).eps)
 
 
-def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = (left + right) - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureNonConvergence(
-            f"adaptive Simpson hit maximum depth on [{a!r}, {b!r}]",
-            abs(delta) / 15.0)
-    return (_simpson_step(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-            + _simpson_step(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
+def _chebyshev_maps(n: int):
+    """The n first-kind Chebyshev points of [-1, 1], the map from samples
+    there to interpolant coefficients, and per side (+1 right of the
+    reference, -1 left) the map from those to the coefficients of Q, the
+    interpolant's mean between the panel's inner end and x."""
+    k = np.arange(n)
+    theta = np.pi * (k + 0.5) / n
+    to_coeffs = (2.0 / n) * np.cos(np.outer(k, theta))
+    to_coeffs[0] *= 0.5
+    # column m: coefficients of the integral of T_m, its constant dropped
+    integral = np.zeros((n + 1, n))
+    integral[1, 0] = 1.0
+    integral[2, 1] = 0.25
+    for m in range(2, n):
+        integral[m + 1, m] = 0.5 / (m + 1)
+        integral[m - 1, m] = -0.5 / (m - 1)
+    # divide by (x + 1) from the top degree down, with
+    # x T_j = (T_{j+1} + T_{j-1}) / 2; the constant is the remainder
+    mean = np.zeros((n + 1, n))
+    mean[n - 1] = 2.0 * integral[n]
+    for j in range(n - 1, 1, -1):
+        mean[j - 1] = 2.0 * (integral[j] - mean[j]) - mean[j + 1]
+    mean[0] = integral[1] - mean[1] - 0.5 * mean[2]
+    mean = mean[:n]
+    # left of the reference the inner end is x = 1: reflect x -> -x
+    sign = (-1.0) ** k
+    return np.cos(theta), to_coeffs, {1.0: mean, -1.0: sign[:, None] * mean * sign}
+
+
+_NODES, _TO_COEFFS, _MEAN = _chebyshev_maps(_CHEB_N)
+
+
+def _panel_value(row, s: float) -> float:
+    """F(s) = F(e) + (s - e) Q(x) on one panel row: (lo, inner end e, F(e),
+    mid, 1/half, Q's coefficient of T_0, the others from the top degree
+    down), with x = (s - mid) / half, by Clenshaw's recurrence."""
+    _, inner, base, mid, inv_half, first, rest = row
+    x = (s - mid) * inv_half
+    x2 = x + x
+    b1 = b2 = 0.0
+    for c in rest:
+        b1, b2 = x2 * b1 - b2 + c, b1
+    return base + (s - inner) * (x * b1 - b2 + first)
+
+
+class _Side(NamedTuple):
+    """The panels accepted on one side of the reference, outward, and the
+    panel the walk tries next."""
+
+    sign: float                 # +1 right of the reference, -1 left of it
+    edge: float                 # outer end of the accepted panels
+    width: float                # width of the next panel to try
+    halvings: int = 0           # halvings already spent at ``edge``
+    grow: bool = True           # the last panel resolved with margin
+    panels: tuple = ()          # rows as read by ``_panel_value``
+    failure: EvaluationError | None = None
+
+
+class _Table:
+    """Both sides' panels, left to right, as read by ``Antiderivative``.
+
+    Never changed once built: a longer table replaces it whole."""
+
+    def __init__(self, reference: float, left: _Side, right: _Side):
+        self.reference, self.left, self.right = reference, left, right
+        self.rows = left.panels[::-1] + right.panels
+        self.lo = left.edge
+        self.hi = right.edge if right.panels else -math.inf
+        cols = [np.array(c, dtype=float) for c in zip(*self.rows)] or [np.empty(0)] * 7
+        self.lows, self.inner, self.base, self.mid, self.inv_half, self.first = cols[:6]
+        self.rest = cols[6].reshape(len(self.rows), _CHEB_N - 1)
+
+    def covers(self, s: float) -> bool:
+        # an abscissa >= reference is read from a right panel, so that
+        # F(reference) is 0 exactly
+        return self.lo <= s < self.reference or self.reference <= s <= self.hi
+
+    def row_of(self, s: float):
+        return self.rows[self.lows.searchsorted(s, "right") - 1]
+
+    def read(self, s: np.ndarray) -> np.ndarray:
+        """``_panel_value`` at every covered entry of ``s``, NaN elsewhere:
+        the same operations in the same order, on arrays."""
+        out = np.full(s.shape, math.nan)
+        ok = np.where(s < self.reference, s >= self.lo, s <= self.hi)
+        if ok.any():
+            s = s[ok]
+            i = np.searchsorted(self.lows, s, "right") - 1
+            x = (s - self.mid[i]) * self.inv_half[i]
+            x2 = x + x
+            rest = self.rest[i]
+            b1 = b2 = np.zeros_like(s)
+            for k in range(_CHEB_N - 1):
+                b1, b2 = x2 * b1 - b2 + rest[:, k], b1
+            out[ok] = self.base[i] + (s - self.inner[i]) * (x * b1 - b2 + self.first[i])
+        return out
 
 
 class Antiderivative:
     """F(s) = integral of a one-variable integrand from ``reference`` to s.
 
-    Values come from adaptive Simpson quadrature (absolute tolerance
-    ``tol``, interval bisection, ``QuadratureNonConvergence`` past
-    ``max_depth``).  Derivatives are exact: F' is the integrand itself
-    and F'' its derivative via a univariate jet.  Computed values are
-    cached; each query integrates from the nearest cached abscissa, so
-    repeated nearby queries stay cheap.  The cache is guarded by a lock.
-    An array of abscissae is integrated one entry at a time, in order; an
-    entry that is NaN or whose quadrature fails comes back NaN.
+    F is tabulated once, as a piecewise Chebyshev interpolant on panels
+    built outward from ``reference`` in a fixed order and extended on
+    demand.  A panel samples the integrand at 16 first-kind Chebyshev
+    points (never at its ends) and is accepted when its last two
+    coefficients, times its half-width, are within ``tol``, or are at the
+    rounding level of its samples; otherwise it is halved, and after
+    ``max_depth`` halvings the abscissae beyond it raise
+    ``QuadratureNonConvergence``.  The next panel is twice as wide when
+    the upper half of the accepted one's coefficients already met that
+    bound, so a slowly varying integrand reaches far abscissae in
+    logarithmically many panels.
+
+    Reading F is a table lookup plus a Clenshaw sum, with no integrand
+    call, so F(s) is a pure function of s: it does not depend on what was
+    queried before, in which order, or from which thread, and an array
+    of abscissae gives bitwise the values of its entries one at a time.
+    An array entry that is NaN or not covered comes back NaN.
+    Derivatives are exact: F' is the integrand itself and F'' its
+    derivative via a univariate jet.
     """
 
     def __init__(self, integrand, reference: float = 0.0,
@@ -346,9 +433,14 @@ class Antiderivative:
         self.reference = float(reference)
         self.tol = float(tol)
         self.max_depth = int(max_depth)
-        self._keys: list[float] = [self.reference]
-        self._vals: list[float] = [0.0]
-        self._lock = threading.Lock()
+        self._table = _Table(self.reference,
+                             _Side(-1.0, self.reference, _BASE_WIDTH),
+                             _Side(1.0, self.reference, _BASE_WIDTH))
+
+    @property
+    def n_panels(self) -> int:
+        """Panels tabulated so far, on both sides of the reference."""
+        return len(self._table.rows)
 
     def integrand_at(self, s):
         return self._values({self.variable: s})
@@ -360,39 +452,102 @@ class Antiderivative:
 
     def value(self, s):
         if isinstance(s, np.ndarray):
-            values = [self._value_or_nan(v) for v in s.ravel().tolist()]
-            return np.array(values, dtype=float).reshape(s.shape)
+            flat = s.astype(float).ravel()
+            finite = flat[np.isfinite(flat)]
+            table = self._table
+            if finite.size:
+                table = self._covering(float(finite.min()), float(finite.max()))
+            return jets.finite(table.read(flat)).reshape(s.shape)
         s = float(s)
-        with self._lock:
-            i = bisect.bisect_left(self._keys, s)
-            if i < len(self._keys) and self._keys[i] == s:
-                return self._vals[i]
-            # integrate from the nearest cached abscissa
-            candidates = []
-            if i > 0:
-                candidates.append(i - 1)
-            if i < len(self._keys):
-                candidates.append(i)
-            anchor = min(candidates, key=lambda idx: abs(self._keys[idx] - s))
-            base_s, base_v = self._keys[anchor], self._vals[anchor]
-            val = base_v + _adaptive_simpson(self.integrand_at, base_s, s,
-                                             self.tol, self.max_depth)
-            self._keys.insert(i, s)
-            self._vals.insert(i, val)
-            return val
-
-    def _value_or_nan(self, s: float) -> float:
-        if math.isnan(s):
-            return math.nan
-        try:
-            return self.value(s)
-        except EvaluationError:
-            return math.nan
+        table = self._table
+        if not table.covers(s):
+            if not math.isfinite(s):
+                raise DomainError(f"antiderivative at {s!r}")
+            table = self._covering(s, s)
+            if not table.covers(s):
+                side = table.right if s >= self.reference else table.left
+                raise side.failure.with_traceback(None)
+        return jets.finite(_panel_value(table.row_of(s), s))
 
     def jet(self, inner: Jet2) -> Jet2:
         """Jet of F(inner) through second order."""
         f1, f2, _ = self.integrand_jet(inner.value)
         return jets.compose(self.value(inner.value), f1, f2, inner)
+
+    def _covering(self, lo: float, hi: float) -> _Table:
+        """The table, grown until it covers [lo, hi] or a side fails."""
+        table = self._table
+        left, right = table.left, table.right
+        while (hi >= self.reference and right.failure is None
+               and (right.edge < hi or not right.panels)):
+            right = self._grow(right)
+        while lo < self.reference and left.failure is None and left.edge > lo:
+            left = self._grow(left)
+        if left is not table.left or right is not table.right:
+            table = _Table(self.reference, left, right)
+            self._table = table   # one store: a reader sees one table whole
+        return table
+
+    def _grow(self, side: _Side) -> _Side:
+        """``side`` after one integrand call on a batch of panels that
+        guesses the walk ahead: after a resolved panel, panels that resolve
+        as it did; after a failed one, the same panel halved again and
+        again.  The walk takes the sampled panels only while each is the
+        one it would try next, so the table depends on nothing but the
+        integrand, ``tol``, ``max_depth`` and how far it reaches."""
+        d = side.sign
+        guesses, e, w = [], side.edge, side.width
+        for _ in range(_BATCH):
+            guesses.append((e, w))
+            if side.halvings:
+                w = 0.5 * w
+            else:
+                e, w = e + d * w, 2.0 * w if side.grow else w
+        starts, widths = np.array(guesses).T
+        ends = starts + d * widths
+        mid = 0.5 * (starts + ends)
+        half = 0.5 * np.abs(ends - starts)   # 0 where no double lies between
+        try:
+            with np.errstate(all="ignore"):
+                f = self._values({self.variable: mid[:, None] + half[:, None] * _NODES})
+        except EvaluationError as exc:   # a part the same at every point fails
+            return side._replace(failure=exc)
+        f = np.broadcast_to(f, (_BATCH, _CHEB_N))
+        with np.errstate(all="ignore"):
+            c = f @ _TO_COEFFS.T
+            # rounding of the samples, and of their abscissae where the
+            # integrand varies: about eps |s| |f'| more
+            spread = f.max(axis=1) - f.min(axis=1)
+            noise = _NOISE * (np.abs(f).max(axis=1) + np.abs(mid) / half * spread)
+            allowed = np.maximum(self.tol / half, noise)
+            tail = np.abs(c[:, -2]) + np.abs(c[:, -1])
+            finite = np.isfinite(f).all(axis=1) & (half > 0.0)
+            resolved = finite & (tail <= allowed)
+            margin = resolved & (np.abs(c[:, _CHEB_N // 2:]).max(axis=1) <= allowed)
+            estimate = np.where(finite, half * tail, math.inf)
+            # trailing coefficients at the rounding level are dropped, so a
+            # polynomial of low degree is read back exactly
+            small = np.abs(c) <= noise[:, None]
+            c = np.where(np.logical_and.accumulate(small[:, ::-1], axis=1)[:, ::-1], 0.0, c)
+        mean = (c @ _MEAN[d].T).tolist()
+        for i, (e, w) in enumerate(guesses):
+            if side.failure is not None or (e, w) != (side.edge, side.width):
+                break
+            b = e + d * w
+            if resolved[i]:
+                base = _panel_value(side.panels[-1], e) if side.panels else 0.0
+                row = (min(e, b), e, base, float(mid[i]), 1.0 / float(half[i]),
+                       mean[i][0], tuple(mean[i][:0:-1]))
+                side = _Side(d, b, 2.0 * w if margin[i] else w, 0, bool(margin[i]),
+                             side.panels + (row,))
+            elif side.halvings < self.max_depth:
+                side = side._replace(width=0.5 * w, halvings=side.halvings + 1)
+            else:
+                side = side._replace(failure=QuadratureNonConvergence(
+                    f"integral of {unparse(self.integrand)} on "
+                    f"[{min(e, b)!r}, {max(e, b)!r}] missed tolerance {self.tol!r} "
+                    f"after {self.max_depth} halvings", float(estimate[i])))
+        return side
 
 
 class _ExactExp:

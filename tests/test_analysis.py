@@ -225,12 +225,32 @@ def test_level_set_extraction_is_deterministic():
 
 
 def test_level_set_vertices_near_singular_curve_are_pruned():
-    # the factor blows up along x + t = 1; spurious crossings in cells
-    # straddling the pole must not survive the residual bound
+    # checks residuals near a pole: the factor blows up along x + t = 1 but
+    # stays positive on both sides, so s^2 never jumps across the level and
+    # nothing is pruned here (n_pruned is 0); every vertex, the ones next to
+    # the pole included, must meet the residual bound.  Pruning itself is
+    # tested across a jump below.
     factor = factor_from_expression("(x + t - 1)^(-2)")
     grid = sample_grid(factor, Rectangle(-2.0, 2.0, -2.0, 2.0),
                        resolution=(60, 60), with_ricci=False)
     (ls,) = extract_level_sets(grid, [0.5])
+    assert ls.polylines
+    for poly in ls.polylines:
+        for t, x in poly:
+            s2 = factor.value(t, x) * (x * x - t * t)
+            assert abs(s2 - 0.5) <= 1e-2 + 1e-12
+
+
+def test_level_set_vertices_across_a_jump_are_pruned():
+    # Omega jumps from ~0 to huge across x + t = 1: cells straddling it
+    # have a crossing that is no level point, and it must be pruned.  An odd
+    # side keeps cell centres off the jump (at 60 a side they lie on it,
+    # overflow, and leave no straddling cell with four valid corners).
+    factor = factor_from_expression("exp(1/(x + t - 1))")
+    grid = sample_grid(factor, Rectangle(-2.0, 2.0, -2.0, 2.0),
+                       resolution=(61, 61), with_ricci=False)
+    (ls,) = extract_level_sets(grid, [0.5])
+    assert ls.n_pruned > 0
     assert ls.polylines
     for poly in ls.polylines:
         for t, x in poly:

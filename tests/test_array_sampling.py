@@ -155,14 +155,11 @@ def test_sample_grid_matches_per_cell_reference(case, with_ricci):
 
 @pytest.mark.parametrize("with_ricci", [True, False])
 def test_shifted_liouville_matches_reference(with_ricci):
-    # a fresh factor per path: the quadrature cache then sees the same queries
-    def build():
-        return liouville_factor("0.1*l", "0.05*sin(l)", 1.0, 0.0, 2.0,
-                                singular_eps=0.05)
-
+    factor = liouville_factor("0.1*l", "0.05*sin(l)", 1.0, 0.0, 2.0,
+                              singular_eps=0.05)
     box = Rectangle(-1.0, 1.0, -2.0, 2.0)
-    grid = sample_grid(build(), box, (13, 17), with_ricci=with_ricci)
-    omega, ricci, floor, status = reference_grid(build(), box, (13, 17), with_ricci)
+    grid = sample_grid(factor, box, (13, 17), with_ricci=with_ricci)
+    omega, ricci, floor, status = reference_grid(factor, box, (13, 17), with_ricci)
     np.testing.assert_array_equal(grid.status, status)
     assert grid.n_singular > 0 and grid.n_valid > 0
     valid = status == VALID

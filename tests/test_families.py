@@ -1,6 +1,7 @@
 """Constructors for the constant-curvature factor families."""
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,6 +13,7 @@ from lorentz2d.charts import Rectangle, diamond, full_plane
 from lorentz2d.curvature import fd_ricci_oracle, ricci_from_omega
 from lorentz2d.errors import (
     BranchYieldsNonPositive,
+    EvaluationError,
     MixedChartVariables,
     NonPositiveFactor,
     QuadratureNonConvergence,
@@ -276,7 +278,120 @@ def test_antiderivative_threaded_queries_match_sequential():
         got = list(pool.map(threaded.value, points))
     sequential = Antiderivative("exp(sin(l))")
     want = [sequential.value(p) for p in points]
-    assert all(abs(g - w) < 2e-9 for g, w in zip(got, want))
+    assert got == want
+
+
+def test_antiderivative_tables_grown_by_racing_threads_give_the_same_values():
+    # a thread may replace a longer table that another one just stored:
+    # that costs a rebuild, and must never change a value
+    points = [float(p) for p in np.random.default_rng(4).uniform(-40.0, 40.0, 400)]
+    sequential = Antiderivative("exp(sin(l))")
+    want = [sequential.value(p) for p in points]
+    shared = Antiderivative("exp(sin(l))")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(shared.value, points, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def _query_orders(n=200, seed=5):
+    points = [float(p) for p in np.random.default_rng(seed).uniform(-3.0, 3.0, n)]
+    shuffled = list(points)
+    np.random.default_rng(seed + 1).shuffle(shuffled)
+    return points, {"forward": points, "reverse": points[::-1], "shuffled": shuffled}
+
+
+def test_antiderivative_values_do_not_depend_on_query_order():
+    points, orders = _query_orders()
+    results = []
+    for order in orders.values():
+        F = Antiderivative("exp(0.1*l + 0.05*l^3)", tol=1e-12)
+        values = {p: F.value(p) for p in order}
+        results.append([values[p] for p in points])
+    assert results[0] == results[1] == results[2]
+
+
+def test_antiderivative_panel_count_depends_only_on_span():
+    points, orders = _query_orders()
+    counts = set()
+    for order in orders.values():
+        F = Antiderivative("exp(sin(l))", tol=1e-12)
+        for p in order:
+            F.value(p)
+        counts.add(F.n_panels)
+    whole = Antiderivative("exp(sin(l))", tol=1e-12)
+    whole.value(np.array([min(points), max(points)]))
+    counts.add(whole.n_panels)
+    assert len(counts) == 1 and counts.pop() > 0
+    # a tighter tolerance needs at least as many panels over the same span
+    tight = Antiderivative("exp(sin(l))", tol=1e-15)
+    tight.value(np.array([min(points), max(points)]))
+    assert tight.n_panels >= whole.n_panels
+
+
+def test_antiderivative_panels_are_built_on_demand():
+    F = Antiderivative("exp(sin(l))")
+    assert F.n_panels == 0
+    F.value(0.5)
+    right = F.n_panels
+    assert right > 0
+    F.value(0.25)
+    assert F.n_panels == right   # already covered
+    F.value(-0.5)
+    assert F.n_panels > right
+
+
+def test_antiderivative_array_is_bitwise_its_entries():
+    F = Antiderivative("exp(l)")
+    s = np.concatenate([np.random.default_rng(9).uniform(-4.0, 4.0, 57),
+                        [0.0, 0.5, -0.5, 1.5, math.nan, math.inf, -math.inf, 800.0]])
+    s = s.reshape(5, 13)
+    want = []
+    for v in s.ravel().tolist():
+        try:
+            want.append(F.value(v))
+        except EvaluationError:
+            want.append(math.nan)
+    got = Antiderivative("exp(l)").value(s)
+    assert got.shape == s.shape
+    assert np.isnan(got).sum() == 4
+    np.testing.assert_array_equal(got.ravel(), want)   # exact; NaN matches NaN
+
+
+def test_antiderivative_far_abscissae_take_few_panels():
+    F = Antiderivative("1")
+    assert F.value(1e6) == 1e6
+    assert F.n_panels <= 64
+    assert F.value(-1e6) == -1e6
+    assert F.n_panels <= 128
+
+
+def test_antiderivative_overflow_is_a_typed_error():
+    F = Antiderivative("exp(l)")
+    with pytest.raises(EvaluationError):
+        F.value(1000.0)
+    got = F.value(np.array([1000.0, 1.0]))
+    assert math.isnan(got[0])
+    assert math.isclose(got[1], math.e - 1.0, rel_tol=0, abs_tol=1e-10)
+    assert math.isclose(F.value(700.0), math.expm1(700.0), rel_tol=1e-10)
+
+
+def test_liouville_value_does_not_depend_on_earlier_queries():
+    # two identical factors, one of which first served other queries,
+    # used to differ at (0.3, 0.9) in the ninth digit
+    fresh = liouville_factor("l", "l", 1, 0, 2)
+    used = liouville_factor("l", "l", 1, 0, 2)
+    for t, x in np.random.default_rng(3).uniform(-1.5, 1.5, size=(40, 2)):
+        try:
+            used.value(float(t), float(x))
+        except EvaluationError:
+            pass
+    assert used.value(0.3, 0.9) == fresh.value(0.3, 0.9)
+    assert used.jet(0.3, 0.9) == fresh.jet(0.3, 0.9)
 
 
 # ---------------------------------------------------------------------------
