@@ -3,8 +3,8 @@
 Everything above the factor families rests on three small pieces:
 
 * a closed expression language (parse / evaluate / substitute /
-  unparse) whose evaluator works over any numeric type with operator
-  overloads;
+  unparse) whose one compiler evaluates a formula as values, as
+  univariate Taylor jets or as ``Jet2``;
 * ``Jet2``, a second-order forward-mode number carrying
   (value, d/dt, d/dx, d2/dt2, d2/dtdx, d2/dx2) through arithmetic and
   elementary functions, so curvature needs no symbolic differentiation

@@ -44,7 +44,7 @@ def _as_jet_fn(field, variables: tuple[str, str]) -> Callable[[float, float], Je
     if isinstance(field, (expressions.Constant, expressions.Variable,
                           expressions.Unary, expressions.Binary, expressions.Call)):
         first, second = variables
-        jet = expressions.compile_expression(field, jet=True)
+        jet = expressions.compile_expression(field, jets.JET2)
 
         def from_expression(a: float, b: float) -> Jet2:
             return jet({

@@ -18,18 +18,23 @@ and ``l`` (integration variable).  ``pi`` and ``e`` are keywords for the
 usual constants.  Functions: exp log sin cos tan sec sinh cosh tanh sech
 sqrt atan abs.
 
-``evaluate`` accepts bindings to plain floats or to ``Jet2`` seeds; the
-two backends share the same value formulas, so the jet value component
-is bit-identical to the plain evaluation.  Either kind of binding may
-hold numpy arrays of cell coordinates: the same code then evaluates every
-cell at once, and a cell that fails comes back NaN (see ``jets``) where a
-float evaluation would raise ``DomainError``.
+One tree compiler turns a formula into closures over one of the three
+algebras of ``jets``: values, univariate Taylor jets (f, f', f'') and
+``Jet2``.  The algebras share each elementary function's value rule and
+the one power rule, so a jet's value slot is bit-identical to the plain
+evaluation.  Every node's output is checked for finiteness once: a jet
+operation checks the slots it builds, and the compiler checks each value.
+One location wrapper reports a failure on floats at the innermost node
+that failed, with the point.  ``evaluate`` accepts bindings to plain
+floats or to ``Jet2`` seeds.  Bindings may hold numpy arrays of cell
+coordinates: the same code then evaluates every cell at once, and a cell
+that fails comes back NaN (see ``jets``) where a float evaluation would
+raise ``DomainError``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -38,7 +43,7 @@ import numpy as np
 
 from . import jets
 from .errors import DomainError, NonConstantExponent, ParseError
-from .jets import Jet2, as_slot, backend, finite, reject
+from .jets import Jet2
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "sec", "sinh", "cosh",
              "tanh", "sech", "sqrt", "atan", "abs")
@@ -325,18 +330,22 @@ def unparse(expression: Expression) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# An expression is compiled once into nested closures, one per node, for
-# values (floats or arrays) or for jets; the closures are then called with
-# the bindings.  Factories compile their formulas when they are built.
+# An expression is compiled once, for one algebra of ``jets`` (values,
+# univariate Taylor jets or Jet2), into nested closures, one per node; the
+# closures are then called with the bindings.  Factories compile their
+# formulas when they are built.
 
 _INF = math.inf
 
 
 def evaluate(expression: Expression, bindings: Mapping[str, float | Jet2]):
     """Evaluate with float bindings (returns float) or Jet2 seeds
-    (returns Jet2).  Raises DomainError outside real domains, ValueError
+    (returns Jet2, in the ``JET2`` algebra; float bindings are lifted to
+    constant jets).  Raises DomainError outside real domains, ValueError
     for unbound variables.  With array bindings, failed cells are NaN
-    instead; a constant part still evaluates on floats, and still raises."""
+    instead; a constant part still evaluates on floats, and still raises.
+    Every node's output is checked for finiteness once, and a failure on
+    floats is reported at the innermost failing node."""
     jet = on_arrays = False
     for v in bindings.values():
         if isinstance(v, Jet2):
@@ -344,7 +353,7 @@ def evaluate(expression: Expression, bindings: Mapping[str, float | Jet2]):
             v = v.value
         if isinstance(v, np.ndarray):
             on_arrays = True
-    fn = compile_expression(expression, jet)
+    fn = compile_expression(expression, jets.JET2 if jet else jets.VALUES)
     if on_arrays:
         # overflow and invalid cells are poisoned, not warned about
         with np.errstate(all="ignore"):
@@ -352,17 +361,17 @@ def evaluate(expression: Expression, bindings: Mapping[str, float | Jet2]):
     return fn(bindings)
 
 
-def compile_expression(expression: Expression, jet: bool = False):
-    """``fn(bindings)`` evaluating ``expression`` as ``evaluate`` does:
-    values from float or array bindings, or with ``jet`` a Jet2 from Jet2
-    seeds (float bindings are lifted to constant jets)."""
-    return _compile_jet(expression) if jet else _compile_real(expression)
+def compile_expression(expression: Expression, algebra: jets.Algebra = jets.VALUES):
+    """``fn(bindings)`` evaluating ``expression`` in ``algebra`` (one of
+    ``jets.VALUES``, ``jets.TAYLOR`` and ``jets.JET2``), as ``evaluate``
+    does."""
+    return _compile(expression, algebra)
 
 
 def _point_of(bindings) -> dict | None:
     point = {}
     for k, v in bindings.items():
-        v = v.value if isinstance(v, Jet2) else v
+        v = v.value if isinstance(v, Jet2) else v[0] if isinstance(v, tuple) else v
         if isinstance(v, np.ndarray):
             return None   # a failure raised on arrays holds at every cell
         point[k] = float(v)
@@ -373,7 +382,7 @@ def constant_value(expression: Expression) -> float:
     """Value of a variable-free expression."""
     if free_variables(expression):
         raise ValueError("expression is not constant")
-    return _compile_real(expression)({})
+    return _compile(expression, jets.VALUES)({})
 
 
 def _exponent_value(node: Expression) -> float:
@@ -382,140 +391,57 @@ def _exponent_value(node: Expression) -> float:
     return constant_value(node)
 
 
-def _variable(name: str, convert):
-    def variable(bindings):
-        try:
-            v = bindings[name]
-        except KeyError:
-            raise ValueError(f"unbound variable {name!r}") from None
-        return convert(v)
-
-    return variable
-
-
-def _real_power(n: float):
-    """a -> a**n for a constant n, on values."""
-    if n.is_integer() and abs(n) <= jets._POW_PRODUCT_LIMIT:
-        m = int(n)
-
-        def power(a):
-            if m == 0:
-                return a * 0.0 + 1.0   # 1, kept NaN on a poisoned cell
-            p = a
-            for _ in range(abs(m) - 1):
-                p = p * a
-            if m < 0:
-                p = 1.0 / reject(p == 0.0, p, "division by zero in negative power")
-            return p
-
-        return power
-    message = f"pow with exponent {n!r} requires a positive base (got {{!r}})"
-
-    def power(a):
-        a = reject(a <= 0.0, a, message)
-        xp = backend(a)
-        try:
-            return xp.exp(n * xp.log(a))
-        except OverflowError:
-            raise DomainError(
-                f"pow overflow for base {a!r} and exponent {n!r}") from None
-
-    return power
-
-
-def _divide(a, b):
-    return a / reject(b == 0.0, b, "division by zero")
-
-
-_REAL_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-             "div": _divide}
-
-
-def _compile_real(expression: Expression):
+def _compile(expression: Expression, algebra: jets.Algebra):
+    """The one tree compiler: ``expression`` as closures over ``algebra``."""
     match expression:
         case Constant(value):
-            return lambda bindings: value
-        case Variable(name):
-            return _variable(name, as_slot)
-        case Unary(_, child):
-            inner = _compile_real(child)
-            return lambda bindings: -inner(bindings)
-        case Binary(op, left, right):
-            first = _compile_real(left)
-            if op == "pow":
-                power = _real_power(_exponent_value(right))
-                return _checked_real(expression, lambda b: power(first(b)))
-            second = _compile_real(right)
-            apply = _REAL_OPS[op]
-            return _checked_real(expression,
-                                 lambda b: apply(first(b), second(b)))
-        case Call(fn, arg):
-            inner = _compile_real(arg)
-            value = jets.VALUE_FUNCTIONS[fn]
-            return _checked_real(expression, lambda b: value(inner(b)))
-    raise TypeError(f"not an expression node: {expression!r}")
-
-
-def _checked_real(node: Expression, compute):
-    """``compute`` with the per-op finiteness check; a failure on floats is
-    reported at ``node``."""
-
-    def checked(bindings):
-        try:
-            result = compute(bindings)
-            if result.__class__ is float and -_INF < result < _INF:
-                return result   # a finite float: the common case, kept fast
-            return finite(result)
-        except DomainError as err:
-            raise _located(err, node, bindings) from None
-
-    return checked
-
-
-def _located(err: DomainError, node: Expression, bindings) -> DomainError:
-    """A float evaluation's failure, reported at the innermost node."""
-    if err.node is not None:
-        return err
-    return DomainError(err.message, node, _point_of(bindings))
-
-
-def _lifted(v):
-    return v if isinstance(v, Jet2) else jets.lift(v)
-
-
-_JET_OPS = {"add": jets.add, "sub": jets.sub, "mul": jets.mul, "div": jets.div}
-
-
-def _compile_jet(expression: Expression):
-    match expression:
-        case Constant(value):
-            constant = jets.lift(value)
+            constant = algebra.lift(value)
             return lambda bindings: constant
         case Variable(name):
-            return _variable(name, _lifted)
+            lift = algebra.lift
+
+            def variable(bindings):
+                try:
+                    v = bindings[name]
+                except KeyError:
+                    raise ValueError(f"unbound variable {name!r}") from None
+                return lift(v)
+
+            return variable
         case Unary(_, child):
-            inner = _compile_jet(child)
-            return lambda bindings: -inner(bindings)
+            inner, neg = _compile(child, algebra), algebra.neg
+            return lambda bindings: neg(inner(bindings))
+        case Binary("pow", left, right):
+            return _located(expression, jets.power(algebra, _exponent_value(right)),
+                            algebra.finite, _compile(left, algebra))
         case Binary(op, left, right):
-            first = _compile_jet(left)
-            if op == "pow":
-                n = _exponent_value(right)
-                return _located_jet(expression, lambda b: jets.powc(first(b), n))
-            second = _compile_jet(right)
-            apply = _JET_OPS[op]
-            return _located_jet(expression, lambda b: apply(first(b), second(b)))
+            return _located(expression, getattr(algebra, op), algebra.finite,
+                            _compile(left, algebra), _compile(right, algebra))
         case Call(fn, arg):
-            inner = _compile_jet(arg)
-            return _located_jet(expression,
-                                lambda b: jets.apply_elementary(fn, inner(b)))
+            return _located(expression, jets.elementary(algebra, fn),
+                            algebra.finite, _compile(arg, algebra))
     raise TypeError(f"not an expression node: {expression!r}")
 
 
-def _located_jet(node: Expression, compute):
+def _located(node: Expression, apply, finite, first, second=None):
+    """The one location wrapper: ``apply`` on the outputs of the operand
+    closures ``first`` (and ``second``), its output checked by the
+    algebra's ``finite`` (values; a jet operation checks the slots it
+    builds), and a failure on floats reported at ``node`` unless an inner
+    node already claimed it."""
+
     def located(bindings):
         try:
-            return compute(bindings)
+            if second is None:
+                result = apply(first(bindings))
+            else:
+                result = apply(first(bindings), second(bindings))
+            if finite is None or (result.__class__ is float and -_INF < result < _INF):
+                return result   # a jet, or a finite float: kept fast
+            return finite(result)
         except DomainError as err:
-            raise _located(err, node, bindings) from None
+            if err.node is None:
+                err = DomainError(err.message, node, _point_of(bindings))
+            raise err from None
 
     return located

@@ -18,10 +18,18 @@ interpolants on panels built outward from a fixed reference point
 (F(0) = 0); the constant that a different reference would add is
 absorbed by C.  Reading F is a table lookup that calls no integrand, so
 a factor's value at a point does not depend on what was queried before,
-in which order or from which thread.  A useful consequence of the jet
-evaluation: the computed curvature of a Liouville factor is insensitive
-to quadrature error in F and G, because a value-only perturbation of D
-is pointwise equivalent to a shift of C, which stays inside the family
+in which order or from which thread.
+
+The jet of a Liouville factor is assembled in the null coordinates, in
+which each ingredient depends on one of them.  The integrands' univariate
+Taylor jets give D_u = k e^{phi}, D_v = -(R/(8k)) e^{psi} (D_uv = 0) and
+the jet of e^{phi} e^{psi}; the quotient rule gives
+Omega = e^{phi} e^{psi} / (D D); one fixed linear pullback,
+d/dt = d/du - d/dv and d/dx = d/du + d/dv, gives the (t, x) slots.  The
+same code serves floats and arrays.  D's derivatives come from the
+integrands and never from F's table, so the computed curvature is
+insensitive to quadrature error in F and G: a value-only perturbation of
+D is pointwise equivalent to a shift of C, which stays inside the family
 with the same R.
 
 ``factor_from_expression`` wraps an arbitrary formula (standard or null
@@ -39,6 +47,7 @@ NaN, and a singular one is also marked ``SINGULAR`` in the optional
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -203,7 +212,7 @@ def _expression_factor(expr: Expression, chart: str, domain, provenance,
                        target: float | None) -> ConformalFactor:
     first, second = ("u", "v") if chart == "uv" else ("t", "x")
     values = compile_expression(expr)
-    jet = compile_expression(expr, jet=True)
+    jet = compile_expression(expr, jets.JET2)
 
     def value_fn(a, b, status=None):
         return values({first: a, second: b})
@@ -367,6 +376,7 @@ class _Table:
     def __init__(self, reference: float, left: _Side, right: _Side):
         self.reference, self.left, self.right = reference, left, right
         self.rows = left.panels[::-1] + right.panels
+        self.starts = [row[0] for row in self.rows]   # a float's row by bisection
         self.lo = left.edge
         self.hi = right.edge if right.panels else -math.inf
         cols = [np.array(c, dtype=float) for c in zip(*self.rows)] or [np.empty(0)] * 7
@@ -379,7 +389,7 @@ class _Table:
         return self.lo <= s < self.reference or self.reference <= s <= self.hi
 
     def row_of(self, s: float):
-        return self.rows[self.lows.searchsorted(s, "right") - 1]
+        return self.rows[bisect_right(self.starts, s) - 1]
 
     def read(self, s: np.ndarray) -> np.ndarray:
         """``_panel_value`` at every covered entry of ``s``, NaN elsewhere:
@@ -419,8 +429,9 @@ class Antiderivative:
     queried before, in which order, or from which thread, and an array
     of abscissae gives bitwise the values of its entries one at a time.
     An array entry that is NaN or not covered comes back NaN.
-    Derivatives are exact: F' is the integrand itself and F'' its
-    derivative via a univariate jet.
+    Derivatives are exact and never read the table: ``integrand_jet``
+    evaluates the integrand in the univariate Taylor algebra of ``jets``,
+    which gives F', F'' and F''' at once.
     """
 
     def __init__(self, integrand, reference: float = 0.0,
@@ -429,7 +440,7 @@ class Antiderivative:
         self.integrand = _as_expression(integrand)
         self.variable = _single_variable(self.integrand, "integrand") or "l"
         self._values = compile_expression(self.integrand)
-        self._jet = compile_expression(self.integrand, jet=True)
+        self._taylor = compile_expression(self.integrand, jets.TAYLOR)
         self.reference = float(reference)
         self.tol = float(tol)
         self.max_depth = int(max_depth)
@@ -446,9 +457,9 @@ class Antiderivative:
         return self._values({self.variable: s})
 
     def integrand_jet(self, s):
-        """(integrand, integrand', integrand'') at s, i.e. (F', F'', F''')."""
-        j = self._jet({self.variable: Jet2(jets.as_slot(s), 1.0)})
-        return j.value, j.dt, j.dtt
+        """(integrand, integrand', integrand'') at s, i.e. (F', F'', F'''):
+        the univariate Taylor jet of the integrand."""
+        return self._taylor({self.variable: (jets.as_slot(s), 1.0, 0.0)})
 
     def value(self, s):
         if isinstance(s, np.ndarray):
@@ -636,19 +647,19 @@ def liouville_factor(phi, psi, k: float, C: float, target: float,
         return (eu * ev) / (d * d)
 
     def jet_fn(t, x, status=None):
-        jt = jets.seed("t", (t, x))
-        jx = jets.seed("x", (t, x))
-        ju = jets.add(jx, jt)
-        jv = jets.sub(jx, jt)
-        iu0, iu1, iu2 = f_anti.integrand_jet(ju.value)
-        iv0, iv1, iv2 = g_anti.integrand_jet(jv.value)
-        fu = jets.compose(f_anti.value(ju.value), iu0, iu1, ju)
-        gv = jets.compose(g_anti.value(jv.value), iv0, iv1, jv)
-        d = (fu * k - gv * cg) + C
+        su = x + t
+        sv = x - t
+        a0, a1, a2 = f_anti.integrand_jet(su)   # F', F'', F''' at u
+        b0, b1, b2 = g_anti.integrand_jet(sv)   # G', G'', G''' at v
+        # D and e^phi e^psi as jets in (u, v), u-partials in the t-slots.
+        # D's derivatives come from the integrands, never from F's table;
+        # D is checked before the band, so that a failed integrand takes
+        # precedence over SINGULAR on arrays as it does on floats
+        d = (k * f_anti.value(su) - cg * g_anti.value(sv)) + C
+        d = jets.checked(d, k * a0, -cg * b0, k * a1, 0.0, -cg * b1)
         d = _off_band(d, d.value, singular_eps, status, t, x)
-        eu = jets.compose(iu0, iu1, iu2, ju)
-        ev = jets.compose(iv0, iv1, iv2, jv)
-        return (eu * ev) / (d * d)
+        top = Jet2(a0 * b0, a1 * b0, a0 * b1, a2 * b0, a1 * b1, a0 * b2)
+        return jets.from_null(jets.div(top, jets.mul(d, d)))
 
     provenance = Provenance("liouville", {
         "phi": unparse(phi), "psi": unparse(psi), "k": k, "C": C, "R": target,

@@ -1,43 +1,57 @@
-"""Forward-mode jets carrying exact partial derivatives through order two.
+"""Forward-mode Taylor arithmetic through order two, in three algebras.
 
-A ``Jet2`` bundles a value with its first and second partials with
-respect to two active coordinates.  The slots are named after the
-standard chart (t, x), but the same structure serves the null chart:
-seed ``u`` into the t-slot and ``v`` into the x-slot and every rule
-below reads unchanged.
+``expressions`` compiles a formula once per ``Algebra`` and evaluates it
+in that number system:
+
+* ``VALUES``: plain values, no derivatives;
+* ``TAYLOR``: a univariate Taylor jet, the tuple (f, f', f'') in one
+  variable (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch.
+  13); it carries the integrands of antiderivatives;
+* ``JET2``: a ``Jet2``, a value with its first and second partials with
+  respect to two active coordinates.  The slots are named after the
+  standard chart (t, x), but the same structure serves the null chart:
+  seed ``u`` into the t-slot and ``v`` into the x-slot and every rule
+  below reads unchanged; ``from_null`` pulls such a jet back to (t, x).
 
 Slots hold floats, or numpy arrays with one entry per lattice cell (a
 float slot broadcasts against arrays, so constants and seed derivatives
 stay floats).  Every rule below is written once and serves both.
 
-All operations are pure; every result is checked for finiteness so that
-overflow or an indeterminate form surfaces as a failure instead of
-propagating into curvature formulas.  Division by a jet whose value is
-zero fails, as does a function applied outside its real domain.  On
-floats a failure raises ``DomainError``.  On arrays it *poisons* the
-failing cells: every slot becomes NaN there, and NaN survives every later
-operation, so a cell stays failed even when a later op would have turned
-an overflow finite again (1/inf = 0, atan(inf) = pi/2).  ``reject`` and
-``finite`` are the two checks; callers read the failure mask back as
-``isnan(value)``.  Array operations leave numpy's overflow and invalid
-warnings to the caller's ``np.errstate``: the results they flag are
-poisoned anyway.
-
-Powers use repeated products for integer exponents up to |n| = 8
-(preserving sign domains); any other exponent goes through exp/log and
-therefore needs a positive base.
-Second-order composition follows the Faa di Bruno pattern
+Each elementary function has one value rule (``VALUE_FUNCTIONS``), which
+holds its domain and overflow checks, and one derivative triple
+(f, f', f'') built on it (``DERIVATIVE_TRIPLES``); each jet layout
+applies the triple through its ``compose``, the second-order chain rule
 
     (f o a)'' = f''(a) a'^2 + f'(a) a''
 
-expanded componentwise over (t, x).
+(componentwise over (t, x) for ``Jet2``).  ``power`` is the one rule for
+constant exponents in all three algebras: repeated products for integer
+exponents up to |n| = 8 (preserving sign domains), and exp/log, which
+needs a positive base, for any other.  On the value and t-slots a
+``TAYLOR`` jet is bitwise the ``Jet2`` seeded ``Jet2(s, 1.0)``.
+
+Finiteness is checked once per node output, so that overflow or an
+indeterminate form surfaces as a failure instead of propagating into
+curvature formulas: every jet operation checks the slots it builds
+(``checked``), and the expression compiler checks each value it computes
+(``finite``).  Division by zero fails, as does a function applied outside
+its real domain.  On floats a failure raises ``DomainError``.  On arrays
+it *poisons* the failing cells: every slot becomes NaN there, and NaN
+survives every later operation, so a cell stays failed even when a later
+op would have turned an overflow finite again (1/inf = 0, atan(inf) =
+pi/2).  ``reject`` and ``finite`` are the shared checks; callers read the
+failure mask back as ``isnan(value)``.  Array operations leave numpy's
+overflow and invalid warnings to the caller's ``np.errstate``: the
+results they flag are poisoned anyway.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,9 +101,12 @@ def finite(value, message: str = "non-finite result (overflow)"):
 
 
 def poison(w, cells):
-    """``w`` (an array or a Jet2) with every slot NaN on ``cells``."""
+    """``w`` (an array or a jet of either layout) with every slot NaN on
+    ``cells``."""
     if isinstance(w, Jet2):
         return Jet2(*(np.where(cells, np.nan, s) for s in _slots(w)))
+    if isinstance(w, tuple):
+        return tuple(np.where(cells, np.nan, s) for s in w)
     return np.where(cells, np.nan, w)
 
 
@@ -100,6 +117,12 @@ def broadcast(w, shape):
         return Jet2(*(np.broadcast_to(s, shape) for s in _slots(w)))
     return np.broadcast_to(w, shape)
 
+
+_NON_FINITE = "non-finite jet component (overflow or indeterminate form)"
+
+
+# ---------------------------------------------------------------------------
+# Jet2: value and partials in two coordinates
 
 @dataclass(slots=True)
 class Jet2:
@@ -116,26 +139,26 @@ class Jet2:
     dxx: float = 0.0
 
     def __add__(self, other):
-        return add(self, _coerce(other))
+        return add(self, lift(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, _coerce(other))
+        return sub(self, lift(other))
 
     def __rsub__(self, other):
-        return sub(_coerce(other), self)
+        return sub(lift(other), self)
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        return mul(self, lift(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return div(self, _coerce(other))
+        return div(self, lift(other))
 
     def __rtruediv__(self, other):
-        return div(_coerce(other), self)
+        return div(lift(other), self)
 
     def __neg__(self):
         return Jet2(-self.value, -self.dt, -self.dx, -self.dtt, -self.dtx, -self.dxx)
@@ -148,14 +171,11 @@ def _slots(w: Jet2) -> tuple:
     return (w.value, w.dt, w.dx, w.dtt, w.dtx, w.dxx)
 
 
-def _coerce(x) -> Jet2:
-    if isinstance(x, Jet2):
-        return x
-    return Jet2(as_slot(x))
-
-
 def lift(value) -> Jet2:
-    """Constant jet: all derivative slots zero."""
+    """A Jet2 as it is; any other value as a constant jet, all derivative
+    slots zero."""
+    if isinstance(value, Jet2):
+        return value
     return Jet2(as_slot(value))
 
 
@@ -172,7 +192,8 @@ def seed(variable: str, point) -> Jet2:
     raise ValueError(f"unknown coordinate {variable!r}; expected one of t, x, u, v")
 
 
-def _checked(v, dt, dx, dtt, dtx, dxx) -> Jet2:
+def checked(v, dt, dx, dtt, dtx, dxx) -> Jet2:
+    """The Jet2 of these slots, checked for finiteness (module rules)."""
     if isinstance(v, np.ndarray):
         ok = np.isfinite(v)
         for s in (dt, dx, dtt, dtx, dxx):
@@ -183,21 +204,21 @@ def _checked(v, dt, dx, dtt, dtx, dxx) -> Jet2:
     if (math.isfinite(v) and math.isfinite(dt) and math.isfinite(dx)
             and math.isfinite(dtt) and math.isfinite(dtx) and math.isfinite(dxx)):
         return Jet2(v, dt, dx, dtt, dtx, dxx)
-    raise DomainError("non-finite jet component (overflow or indeterminate form)")
+    raise DomainError(_NON_FINITE)
 
 
 def add(a: Jet2, b: Jet2) -> Jet2:
-    return _checked(a.value + b.value, a.dt + b.dt, a.dx + b.dx,
-                    a.dtt + b.dtt, a.dtx + b.dtx, a.dxx + b.dxx)
+    return checked(a.value + b.value, a.dt + b.dt, a.dx + b.dx,
+                   a.dtt + b.dtt, a.dtx + b.dtx, a.dxx + b.dxx)
 
 
 def sub(a: Jet2, b: Jet2) -> Jet2:
-    return _checked(a.value - b.value, a.dt - b.dt, a.dx - b.dx,
-                    a.dtt - b.dtt, a.dtx - b.dtx, a.dxx - b.dxx)
+    return checked(a.value - b.value, a.dt - b.dt, a.dx - b.dx,
+                   a.dtt - b.dtt, a.dtx - b.dtx, a.dxx - b.dxx)
 
 
 def mul(a: Jet2, b: Jet2) -> Jet2:
-    return _checked(
+    return checked(
         a.value * b.value,
         a.dt * b.value + a.value * b.dt,
         a.dx * b.value + a.value * b.dx,
@@ -215,31 +236,12 @@ def div(a: Jet2, b: Jet2) -> Jet2:
     qtt = (a.dtt - 2.0 * qt * b.dt - q * b.dtt) / bv
     qtx = (a.dtx - qt * b.dx - qx * b.dt - q * b.dtx) / bv
     qxx = (a.dxx - 2.0 * qx * b.dx - q * b.dxx) / bv
-    return _checked(q, qt, qx, qtt, qtx, qxx)
-
-
-def powc(a: Jet2, exponent: float) -> Jet2:
-    """a**exponent for a constant real exponent."""
-    n = float(exponent)
-    if n.is_integer() and abs(n) <= _POW_PRODUCT_LIMIT:
-        m = int(n)
-        if m == 0:
-            # 1, kept NaN on a poisoned cell
-            return lift(a.value * 0.0 + 1.0)
-        p = a
-        for _ in range(abs(m) - 1):
-            p = mul(p, a)
-        if m < 0:
-            return div(lift(1.0), p)
-        return p
-    base = reject(a.value <= 0.0, a.value,
-                  f"pow with exponent {n!r} requires a positive base (got {{!r}})")
-    return apply_elementary("exp", mul(compose(*_d_log(base), a), lift(n)))
+    return checked(q, qt, qx, qtt, qtx, qxx)
 
 
 def compose(f0: float, f1: float, f2: float, inner: Jet2) -> Jet2:
     """Jet of f(inner) given f, f', f'' at inner.value."""
-    return _checked(
+    return checked(
         f0,
         f1 * inner.dt,
         f1 * inner.dx,
@@ -257,7 +259,7 @@ def compose_map(w: Jet2, first: Jet2, second: Jet2) -> Jet2:
     outer coordinates.  Returns the jet of the composite in the outer
     coordinates (second-order multivariate chain rule).
     """
-    return _checked(
+    return checked(
         w.value,
         w.dt * first.dt + w.dx * second.dt,
         w.dt * first.dx + w.dx * second.dx,
@@ -276,6 +278,57 @@ def compose_map(w: Jet2, first: Jet2, second: Jet2) -> Jet2:
     )
 
 
+def from_null(w: Jet2) -> Jet2:
+    """A jet in the null chart (u-partials in the t-slots, v-partials in the
+    x-slots) as a jet in (t, x): ``compose_map`` for the fixed linear map
+    u = x + t, v = x - t, i.e. d/dt = d/du - d/dv and d/dx = d/du + d/dv."""
+    mixed = 2.0 * w.dtx
+    return checked(w.value, w.dt - w.dx, w.dt + w.dx,
+                   w.dtt - mixed + w.dxx, w.dtt - w.dxx, w.dtt + mixed + w.dxx)
+
+
+# ---------------------------------------------------------------------------
+# Univariate Taylor jets: the tuple (f, f', f''), with the t-slot rules of
+# Jet2 written out for one variable, operation for operation
+
+def _checked1(f0, f1, f2) -> tuple:
+    if f0.__class__ is float:
+        if -1e400 < f0 < 1e400 and -1e400 < f1 < 1e400 and -1e400 < f2 < 1e400:
+            return (f0, f1, f2)   # finite floats (1e400 is inf): kept fast
+        raise DomainError(_NON_FINITE)
+    ok = np.isfinite(f0) & np.isfinite(f1) & np.isfinite(f2)
+    return (f0, f1, f2) if ok.all() else poison((f0, f1, f2), ~ok)
+
+
+def _add1(a, b):
+    return _checked1(a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def _sub1(a, b):
+    return _checked1(a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _mul1(a, b):
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return _checked1(a0 * b0, a1 * b0 + a0 * b1, a2 * b0 + 2.0 * a1 * b1 + a0 * b2)
+
+
+def _div1(a, b):
+    a0, a1, a2 = a
+    _, b1, b2 = b
+    bv = reject(b[0] == 0.0, b[0], "division by a jet with value 0")
+    q = a0 / bv
+    q1 = (a1 - q * b1) / bv
+    return _checked1(q, q1, (a2 - 2.0 * q1 * b1 - q * b2) / bv)
+
+
+def _compose1(f0, f1, f2, inner):
+    _, a1, a2 = inner
+    return _checked1(f0, f1 * a1, f1 * a2 + f2 * a1 * a1)
+
+
+# ---------------------------------------------------------------------------
 # Elementary functions.  Each has a value function, which holds its domain
 # and overflow checks and serves value evaluation, and a derivative triple
 # (f, f', f'') built on it for jets.  Both take a float or an array.  A
@@ -463,5 +516,78 @@ def apply_elementary(name: str, a: Jet2) -> Jet2:
         triple = DERIVATIVE_TRIPLES[name]
     except KeyError:
         raise ValueError(f"unknown elementary function {name!r}") from None
-    f0, f1, f2 = triple(a.value)
-    return compose(f0, f1, f2, a)
+    return compose(*triple(a.value), a)
+
+
+# ---------------------------------------------------------------------------
+# The three algebras
+
+class Algebra(NamedTuple):
+    """One number system, as ``expressions`` compiles formulas into it."""
+
+    lift: Callable       # a constant or a binding as an element
+    value: Callable      # an element's value slot
+    add: Callable
+    sub: Callable
+    mul: Callable
+    div: Callable
+    neg: Callable
+    compose: Callable | None   # (f, f', f'', inner) -> f(inner); None: values
+    finite: Callable | None    # the check of a node's output; None where
+    #                            every operation checks the slots it builds
+
+
+def _divide(a, b):
+    return a / reject(b == 0.0, b, "division by zero")
+
+
+VALUES = Algebra(as_slot, lambda a: a, operator.add, operator.sub, operator.mul,
+                 _divide, operator.neg, None, finite)
+TAYLOR = Algebra(lambda v: v if v.__class__ is tuple else (as_slot(v), 0.0, 0.0),
+                 operator.itemgetter(0), _add1, _sub1, _mul1, _div1,
+                 lambda a: (-a[0], -a[1], -a[2]), _compose1, None)
+JET2 = Algebra(lift, operator.attrgetter("value"), add, sub, mul, div,
+               operator.neg, compose, None)
+
+
+def elementary(algebra: Algebra, name: str) -> Callable:
+    """a -> name(a) in ``algebra``: the value rule, or the derivative
+    triple through the layout's ``compose``."""
+    if algebra.compose is None:
+        return VALUE_FUNCTIONS[name]
+    triple, compose_, value = DERIVATIVE_TRIPLES[name], algebra.compose, algebra.value
+    return lambda a: compose_(*triple(value(a)), a)
+
+
+def power(algebra: Algebra, n: float) -> Callable:
+    """a -> a**n in ``algebra`` for a constant real ``n``."""
+    lift_, value, mul_, div_ = algebra.lift, algebra.value, algebra.mul, algebra.div
+    if n.is_integer() and abs(n) <= _POW_PRODUCT_LIMIT:
+        m = int(n)
+
+        def product(a):
+            if m == 0:
+                return lift_(value(a) * 0.0 + 1.0)   # 1, kept NaN on a poisoned cell
+            p = a
+            for _ in range(abs(m) - 1):
+                p = mul_(p, a)
+            return div_(lift_(1.0), p) if m < 0 else p
+
+        return product
+    exp_, log_, exponent = elementary(algebra, "exp"), elementary(algebra, "log"), lift_(n)
+    message = f"pow with exponent {n!r} requires a positive base (got {{!r}})"
+
+    def through_log(a):
+        base = value(a)
+        if isinstance(base, np.ndarray):
+            a = poison(a, base <= 0.0)
+        elif base <= 0.0:
+            raise DomainError(message.format(base))
+        return exp_(mul_(log_(a), exponent))
+
+    return through_log
+
+
+def powc(a: Jet2, exponent: float) -> Jet2:
+    """a**exponent for a constant real exponent."""
+    return power(JET2, float(exponent))(a)

@@ -297,7 +297,7 @@ def test_domains_test_membership_on_arrays():
         np.testing.assert_array_equal(domain.contains(t, x), expect)
 
 
-def test_antiderivative_integrates_arrays_one_abscissa_at_a_time():
+def test_antiderivative_array_read_equals_float_reads():
     s = np.array([0.3, np.nan, -0.2, 1.5, 0.3, 0.05])
     scalar = Antiderivative("exp(-400*l^2)", tol=1e-13, max_depth=2)
     expect = []
