@@ -14,19 +14,24 @@ bitwise-identical arrays.
 
 ``constancy_report`` aggregates the curvature deviation from a target
 constant.  ``extract_level_sets`` runs marching squares on the interval
-field s^2 = Omega (x^2 - t^2) on whole arrays, one level at a time: cell
-cases come from shifted views of one ``s2 >= level`` mask, saddle cells
-are resolved by the average of their four corners, and a small table
-turns cases into segments between numbered lattice edges.  Each crossing
-edge gets one vertex, polished by bisection along the edge against the
-directly evaluated field, all of a level's edges in lockstep.  A vertex
-is *pruned*, with its segments, when its best residual misses the bound
-or the field fails (NaN) on the way: such a crossing is a jump of the
-field across a singular curve, not a point of the level set.
+field s^2 = Omega (x^2 - t^2) on whole arrays: per level, the cells
+whose lowest and highest corners straddle it get a case from their
+``s2 >= level`` corner bits, saddle cells are resolved by the average of
+their four corners, and a small table turns cases into segments between
+numbered lattice edges.  Each crossing edge gets one vertex, polished by
+bisection along the edge against the directly evaluated field; the
+crossings of all levels bisect in one lockstep batch, each against its
+own level.  A vertex is *pruned*, with its segments, when its best
+residual misses the bound or the field fails (NaN) on the way: such a
+crossing is a jump of the field across a singular curve, not a point of
+the level set.  Segments are chained into polylines by pairing their
+ends through an argsort of their crossing ids and following the pairs.
 
-Exports: grid -> CSV, report -> JSON, level sets -> CSV or SVG.  The SVG
-maps the domain onto a fixed 800x800 viewport, one path per polyline
-tagged with a ``data-level`` attribute.
+Exports: grid -> CSV, report -> JSON, level sets -> CSV or SVG, each
+built from ``tolist()`` arrays: ``repr`` (round-trip) once per distinct
+CSV coordinate, the SVG pixel maths on arrays.  The SVG maps the domain
+onto a fixed 800x800 viewport, one path per polyline tagged with a
+``data-level`` attribute.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -250,30 +256,30 @@ for _case, _pair in ((1, (_L, _B)), (2, (_B, _R)), (3, (_L, _R)),
 _SEGMENTS[[5, 10 + 16]] = ((_L, _B), (_T, _R))
 _SEGMENTS[10], _SEGMENTS[5 + 16] = ((_B, _R), (_L, _T)), ((_L, _T), (_B, _R))
 del _case, _pair
-_HAS_SEGMENTS = _SEGMENTS[:, 0, 0] >= 0
 
 
-def _crossing_segments(s2, ok_cells, level: float):
+def _crossing_segments(s2, low, high, level: float):
     """(first, second) edge ids of every marching-squares segment.
 
-    Edge ids number the horizontal lattice edges (i,j)-(i,j+1) row-major
-    first, then the vertical ones (i,j)-(i+1,j).  Segments come in
-    row-major cell order, in the table's order within a cell.
+    ``low`` and ``high`` hold each cell's lowest and highest corner, row
+    major, ``high`` -inf where a cell takes no part; only cells with a
+    corner at or above the level and one below get a case.  Edge ids
+    number the horizontal lattice edges (i,j)-(i,j+1) row-major first,
+    then the vertical ones (i,j)-(i+1,j).  Segments come in row-major
+    cell order, in the table's order within a cell.
     """
     n_x = s2.shape[1]
-    above = s2 >= level
-    case = (above[:-1, :-1].view(np.uint8)
-            | (above[:-1, 1:].view(np.uint8) << 1)
-            | (above[1:, 1:].view(np.uint8) << 2)
-            | (above[1:, :-1].view(np.uint8) << 3))
-    case[~ok_cells] = 0
-    si, sj = np.nonzero((case == 5) | (case == 10))
-    center = ((((s2[si, sj] + s2[si, sj + 1]) + s2[si + 1, sj + 1])
-               + s2[si + 1, sj]) / 4.0) >= level
-    case[si, sj] += center.view(np.uint8) << 4
-    cells = np.flatnonzero(_HAS_SEGMENTS[case])   # also their bottom edges' ids
-    codes = _SEGMENTS[case.ravel()[cells]].astype(np.intp)   # (cell, pair, end)
-    left = s2.shape[0] * (n_x - 1) + cells + cells // (n_x - 1)
+    # not ``low < level``: a NaN corner makes ``low`` NaN and is below
+    cells = np.flatnonzero((high >= level) & ~(low >= level))   # = bottom edge ids
+    corner = cells + cells // (n_x - 1)   # flat lattice index of (i, j)
+    c0, c1, c2, c3 = (s2.ravel()[k] for k in (corner, corner + 1, corner + n_x + 1,
+                                              corner + n_x))
+    center = ((((c0 + c1) + c2) + c3) / 4.0) >= level
+    case = ((c0 >= level).view(np.uint8) | ((c1 >= level).view(np.uint8) << 1)
+            | ((c2 >= level).view(np.uint8) << 2) | ((c3 >= level).view(np.uint8) << 3)
+            | (center.view(np.uint8) << 4))
+    codes = _SEGMENTS[case].astype(np.intp)   # (cell, pair, end)
+    left = s2.shape[0] * (n_x - 1) + corner
     edges = np.stack([cells, left + 1, cells + n_x - 1, left], axis=1)
     ids = np.take_along_axis(edges, codes.reshape(-1, 4), axis=1)
     ids = ids.reshape(-1, 2, 2)[codes[:, :, 0] >= 0]
@@ -288,46 +294,49 @@ def _edge_ends(edges, n_t: int, n_x: int):
     return ia, ja, ia + vertical, ja + ~vertical
 
 
-def _refine(factor, level: float, t, x, pa, pb, fa, fb, target: float,
+def _refine(factor, level, t, x, pa, pb, fa, fb, target: float,
             bound: float, max_bisections: int):
     """Locate s^2 = level on every crossing edge pa-pb at once.
 
-    ``pa``/``pb`` are (t, x) array pairs with exact field values ``fa``/``fb``;
-    ``t``/``x`` hold the linear guesses and are moved in place to the
-    vertices.  An exact endpoint is kept as is; other edges bisect in
-    lockstep until |s^2 - level| meets ``target``, else keep their best
-    point if within ``bound``.  A NaN (failed) field value prunes its
-    vertex.  Returns (keep, residual, field evaluations).
+    ``level`` holds each edge's level, so that the edges of all levels
+    refine in one lockstep batch; bisection works element by element, so
+    an edge gets the same vertex as it would alone.  ``pa``/``pb`` are
+    (t, x) array pairs with exact field values ``fa``/``fb``; ``t``/``x``
+    hold the linear guesses and are moved in place to the vertices.  An
+    exact endpoint is kept as is; other edges bisect in lockstep until
+    |s^2 - level| meets ``target``, else keep their best point if within
+    ``bound``.  A NaN (failed) field value prunes its vertex.  Returns
+    (keep, residual, field evaluations per edge).
     """
     hit_a = fa == level
     keep = hit_a | (fb == level)
     t[keep] = np.where(hit_a, pa[0], pb[0])[keep]
     x[keep] = np.where(hit_a, pa[1], pb[1])[keep]
     residual = np.zeros(fa.shape)
+    evaluations = np.zeros(fa.shape, dtype=np.intp)
     idx = np.flatnonzero(~keep)
-    pt_t, pt_x, lo_t, lo_x, hi_t, hi_x, flo = (
-        v[idx] for v in (t, x, *pa, *pb, fa))
+    pt_t, pt_x, lo_t, lo_x, hi_t, hi_x, flo, lev = (
+        v[idx] for v in (t, x, *pa, *pb, fa, level))
     best_t, best_x, best_res = pt_t, pt_x, np.full(idx.size, np.inf)
-    evaluations = 0
     for step in range(max(max_bisections, 0) + 1):   # the guess, then midpoints
         if step:
             pt_t, pt_x = 0.5 * (lo_t + hi_t), 0.5 * (lo_x + hi_x)
         f = interval_field(factor, pt_t, pt_x)
-        evaluations += idx.size
-        res = abs(f - level)
+        evaluations[idx] += 1
+        res = abs(f - lev)
         better = res < best_res
         best_t, best_x = np.where(better, pt_t, best_t), np.where(better, pt_x, best_x)
         best_res = np.where(better, res, best_res)
         done = res <= target
         t[idx[done]], x[idx[done]], residual[idx[done]] = pt_t[done], pt_x[done], res[done]
         keep[idx[done]] = True
-        low = (flo < level) == (f < level)
+        low = (flo < lev) == (f < lev)
         lo_t, lo_x, flo = (np.where(low, pt_t, lo_t), np.where(low, pt_x, lo_x),
                            np.where(low, f, flo))
         hi_t, hi_x = np.where(low, hi_t, pt_t), np.where(low, hi_x, pt_x)
         active = ~done & ~np.isnan(res)
-        idx, lo_t, lo_x, hi_t, hi_x, flo, best_t, best_x, best_res = (
-            v[active] for v in (idx, lo_t, lo_x, hi_t, hi_x, flo,
+        idx, lo_t, lo_x, hi_t, hi_x, flo, lev, best_t, best_x, best_res = (
+            v[active] for v in (idx, lo_t, lo_x, hi_t, hi_x, flo, lev,
                                 best_t, best_x, best_res))
         if not idx.size:
             break
@@ -349,70 +358,111 @@ def extract_level_sets(grid: SampleGrid, levels, refine: bool = True,
     bisection against the directly evaluated field until the residual
     |s^2 - level| drops below ``refine_target``; vertices that cannot
     reach ``residual_bound`` are pruned together with their segments.
-    Polylines are chained deterministically in scan order.
+    The crossings of all levels refine together; each level's result is
+    the one it would get alone.  Polylines are chained deterministically
+    in scan order.
     """
     s2 = grid.s2
+    n_t, n_x = s2.shape
     ok = grid.status == VALID
     ok_cells = ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1]
-    result = []
+    corners = s2[:-1, :-1], s2[:-1, 1:], s2[1:, 1:], s2[1:, :-1]
+    # minimum keeps NaN and fmax skips it, so that a NaN corner is below
+    # every level, as it is in ``s2 >= level``
+    low = np.minimum(np.minimum(corners[0], corners[1]),
+                     np.minimum(corners[2], corners[3])).ravel()
+    high = np.where(ok_cells, np.fmax(np.fmax(corners[0], corners[1]),
+                                      np.fmax(corners[2], corners[3])), -np.inf).ravel()
+    levels = [float(level) for level in levels]
+    # a crossing is keyed by its level and its lattice edge,
+    # level index * n_edges + edge id, so keys sort level by level
+    n_edges = n_t * (n_x - 1) + (n_t - 1) * n_x
     # overflow and invalid results are pruned (NaN) vertices, not warnings
     with np.errstate(all="ignore"):
-        for level in levels:
-            level = float(level)
-            first, second = _crossing_segments(s2, ok_cells, level)
-            # the distinct crossing edges (np.unique would import numpy.ma)
-            edges = np.sort(np.concatenate([first, second]))
-            edges = edges[np.diff(edges, prepend=-1) != 0]
-            ia, ja, ib, jb = _edge_ends(edges, *s2.shape)
-            pa, pb = (grid.ts[ia], grid.xs[ja]), (grid.ts[ib], grid.xs[jb])
-            fa, fb = s2[ia, ja], s2[ib, jb]
-            theta = (level - fa) / (fb - fa)
-            t, x = pa[0] + theta * (pb[0] - pa[0]), pa[1] + theta * (pb[1] - pa[1])
-            keep, residual = np.ones(edges.size, dtype=bool), np.full(edges.size, np.nan)
-            evaluations = 0
-            if refine:
-                keep, residual, evaluations = _refine(
-                    grid.factor, level, t, x, pa, pb, fa, fb, refine_target,
-                    residual_bound, max_bisections)
-            verts = dict(zip(edges[keep].tolist(), zip(t[keep].tolist(), x[keep].tolist())))
-            live = keep[np.searchsorted(edges, first)] & keep[np.searchsorted(edges, second)]
-            kept = residual[keep]
-            result.append(LevelSet(
-                level=level,
-                polylines=_chain_segments(
-                    list(zip(first[live].tolist(), second[live].tolist())), verts),
-                n_pruned=edges.size - kept.size,
-                max_residual=float(kept.max()) if kept.size else math.nan,
-                bisections=evaluations))
+        segments = np.concatenate([np.empty((0, 2), dtype=np.intp)] + [
+            np.stack(_crossing_segments(s2, low, high, level), axis=1) + k * n_edges
+            for k, level in enumerate(levels)])
+        # the distinct crossings (np.unique would import numpy.ma)
+        keys = np.sort(segments, axis=None)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        which, edges = np.divmod(keys, n_edges)
+        edge_levels = np.array(levels)[which]
+        ia, ja, ib, jb = _edge_ends(edges, n_t, n_x)
+        pa, pb = (grid.ts[ia], grid.xs[ja]), (grid.ts[ib], grid.xs[jb])
+        fa, fb = s2[ia, ja], s2[ib, jb]
+        theta = (edge_levels - fa) / (fb - fa)
+        t, x = pa[0] + theta * (pb[0] - pa[0]), pa[1] + theta * (pb[1] - pa[1])
+        keep, residual = np.ones(keys.size, dtype=bool), np.full(keys.size, np.nan)
+        evaluations = np.zeros(keys.size, dtype=np.intp)
+        if refine:
+            keep, residual, evaluations = _refine(
+                grid.factor, edge_levels, t, x, pa, pb, fa, fb, refine_target,
+                residual_bound, max_bisections)
+    ends = np.searchsorted(keys, segments)   # segment ends as crossing indices
+    path, starts = _chain_segments(ends[keep[ends].all(axis=1)])
+    vertices = list(zip(t[path].tolist(), x[path].tolist()))
+    polylines = [vertices[a:b] for a, b in zip(starts[:-1], starts[1:])]
+    # crossings and polylines come grouped by level
+    level_ids = np.arange(len(levels) + 1)
+    cuts = np.searchsorted(which, level_ids).tolist()
+    poly_cuts = np.searchsorted(which[path[starts[:-1]]], level_ids).tolist()
+    result = []
+    for k, level in enumerate(levels):
+        lo, hi = cuts[k], cuts[k + 1]
+        kept = residual[lo:hi][keep[lo:hi]]
+        result.append(LevelSet(
+            level=level,
+            polylines=polylines[poly_cuts[k]:poly_cuts[k + 1]],
+            n_pruned=hi - lo - kept.size,
+            max_residual=float(kept.max()) if kept.size else math.nan,
+            bisections=int(evaluations[lo:hi].sum())))
     return result
 
 
-def _chain_segments(segments, verts) -> list:
-    adjacency: dict = {}
-    for idx, (a, b) in enumerate(segments):
-        adjacency.setdefault(a, []).append((idx, b))
-        adjacency.setdefault(b, []).append((idx, a))
-    used = [False] * len(segments)
-    polylines = []
+def _chain_segments(ends):
+    """Chain segments that share crossings into polylines.
 
-    def extend(key):
+    ``ends`` holds each segment's (first, second) crossing index.  A
+    crossing ends at most two segments, so pairing the segment ends by
+    an argsort of their crossings links the segments into paths and
+    cycles.  Polylines come in order of their lowest segment; a path runs
+    from its end on that segment's first side, and a cycle starts and
+    ends at that segment's second crossing.  Returns the crossings of all
+    polylines back to back, and the offsets at which each polyline
+    starts followed by the total length.
+    """
+    flat = ends.ravel()                  # end 2k + s is end s of segment k
+    order = np.argsort(flat, kind="stable")
+    pair = np.flatnonzero(flat[order[1:]] == flat[order[:-1]])
+    partner = np.full(flat.size, -1)
+    partner[order[pair]], partner[order[pair + 1]] = order[pair + 1], order[pair]
+    partner = partner.tolist()
+    used = bytearray(ends.shape[0])
+    walk, starts = [], []
+
+    def extend(end):
+        # the far ends of the segments met going on through ``end``
         out = []
-        while True:
-            nxt = next(((idx, other) for idx, other in adjacency.get(key, ())
-                        if not used[idx]), None)
-            if nxt is None:
-                return out
-            used[nxt[0]] = True
-            key = nxt[1]
-            out.append(key)
+        end = partner[end]
+        while end >= 0 and not used[end >> 1]:
+            used[end >> 1] = True
+            end ^= 1
+            out.append(end)
+            end = partner[end]
+        return out
 
-    for idx, (a, b) in enumerate(segments):
-        if used[idx]:
+    for k in range(ends.shape[0]):
+        if used[k]:
             continue
-        used[idx] = True
-        keys = list(reversed(extend(a))) + [a, b] + extend(b)
-        polylines.append([verts[k] for k in keys])
-    return polylines
+        used[k] = True
+        starts.append(len(walk))
+        back = extend(2 * k)
+        back.reverse()
+        walk += back
+        walk += (2 * k, 2 * k + 1)
+        walk += extend(2 * k + 1)
+    starts.append(len(walk))
+    return flat[np.array(walk, dtype=np.intp)], starts
 
 
 # ---------------------------------------------------------------------------
@@ -420,21 +470,22 @@ def _chain_segments(segments, verts) -> list:
 
 def grid_to_csv(grid: SampleGrid) -> str:
     """Rows for every sampled cell (outside cells are skipped), row-major."""
+    ts = [repr(t) for t in grid.ts.tolist()]
+    xs = [repr(x) for x in grid.xs.tolist()]
+    cells = np.flatnonzero(grid.status != OUTSIDE)
+    rows, cols = np.divmod(cells, grid.status.shape[1])
+    valid = grid.status.ravel()[cells] == VALID
+    omega, ricci, s2 = (arr.ravel()[cells].tolist()
+                        for arr in (grid.omega, grid.ricci, grid.s2))
+    with_ricci = grid.with_ricci
     lines = [_CSV_HEADER]
-    for i in range(grid.status.shape[0]):
-        for j in range(grid.status.shape[1]):
-            code = int(grid.status[i, j])
-            if code == OUTSIDE:
-                continue
-            t = repr(float(grid.ts[i]))
-            x = repr(float(grid.xs[j]))
-            if code == VALID:
-                om = repr(float(grid.omega[i, j]))
-                rr = repr(float(grid.ricci[i, j])) if grid.with_ricci else ""
-                ss = repr(float(grid.s2[i, j]))
-                lines.append(f"{t},{x},{om},{rr},{ss},1")
-            else:
-                lines.append(f"{t},{x},,,,0")
+    for i, j, ok, om, rr, ss in zip(rows.tolist(), cols.tolist(), valid.tolist(),
+                                    omega, ricci, s2):
+        if ok:
+            rr = repr(rr) if with_ricci else ""
+            lines.append(f"{ts[i]},{xs[j]},{om!r},{rr},{ss!r},1")
+        else:
+            lines.append(f"{ts[i]},{xs[j]},,,,0")
     return "\n".join(lines) + "\n"
 
 
@@ -453,13 +504,41 @@ def report_to_json(report: CurvatureReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _coordinates(level_sets) -> list:
+    """Every vertex coordinate of ``level_sets``: t, x, t, x, ..."""
+    return list(chain.from_iterable(chain.from_iterable(
+        poly for ls in level_sets for poly in ls.polylines)))
+
+
+def _reprs(values) -> list:
+    """``repr`` of every entry of ``values``, called once per distinct float.
+
+    A refined vertex lies on a lattice edge, so one of its coordinates is
+    a lattice coordinate, and those repeat.  Floats are told apart by
+    their bits, which keeps -0.0 apart from 0.0.
+    """
+    bits = np.array(values, dtype=float).view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    new = np.ones(bits.size, dtype=bool)
+    new[1:] = bits[order[1:]] != bits[order[:-1]]
+    text = [repr(values[i]) for i in order[new].tolist()]
+    distinct = np.empty(bits.size, dtype=np.intp)
+    distinct[order] = np.cumsum(new) - 1
+    return [text[i] for i in distinct.tolist()]
+
+
 def level_sets_to_csv(level_sets) -> str:
-    lines = ["level,polyline,t,x"]
+    """One row per vertex: level, polyline index within the level, t, x."""
+    reprs = _reprs(_coordinates(level_sets))
+    chunks = ["level,polyline,t,x\n"]
+    k = 0
     for ls in level_sets:
+        level = repr(ls.level)
         for p_idx, poly in enumerate(ls.polylines):
-            for (t, x) in poly:
-                lines.append(f"{repr(ls.level)},{p_idx},{repr(t)},{repr(x)}")
-    return "\n".join(lines) + "\n"
+            n = 2 * len(poly)
+            chunks.append(f"{level},{p_idx},%s,%s\n" * len(poly) % tuple(reprs[k:k + n]))
+            k += n
+    return "".join(chunks)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -475,40 +554,41 @@ def level_sets_to_svg(level_sets, bounds=None) -> str:
     ``bounds`` = (t_min, t_max, x_min, x_max); defaults to the extent of
     the vertices with 5% padding.  x runs right, t runs up.
     """
+    tx = np.array(_coordinates(level_sets), dtype=float).reshape(-1, 2)
     if bounds is None:
-        pts = [p for ls in level_sets for poly in ls.polylines for p in poly]
-        if not pts:
+        if not tx.size:
             bounds = (-1.0, 1.0, -1.0, 1.0)
         else:
-            t_lo = min(p[0] for p in pts)
-            t_hi = max(p[0] for p in pts)
-            x_lo = min(p[1] for p in pts)
-            x_hi = max(p[1] for p in pts)
+            (t_lo, x_lo), (t_hi, x_hi) = tx.min(axis=0).tolist(), tx.max(axis=0).tolist()
             pad_t = 0.05 * (t_hi - t_lo or 1.0)
             pad_x = 0.05 * (x_hi - x_lo or 1.0)
             bounds = (t_lo - pad_t, t_hi + pad_t, x_lo - pad_x, x_hi + pad_x)
     t0, t1, x0, x1 = bounds
     span = _SVG_SIZE - 2 * _SVG_MARGIN
-
-    def to_px(t: float, x: float) -> tuple[float, float]:
-        px = _SVG_MARGIN + (x - x0) / (x1 - x0) * span
-        py = _SVG_MARGIN + (t1 - t) / (t1 - t0) * span
-        return px, py
+    drawn = any(len(poly) >= 2 for ls in level_sets for poly in ls.polylines)
+    if drawn and not (x1 - x0 and t1 - t0):   # as float division fails
+        raise ZeroDivisionError("float division by zero")
+    with np.errstate(all="ignore"):
+        px = _SVG_MARGIN + (tx[:, 1] - x0) / (x1 - x0) * span
+        py = _SVG_MARGIN + (t1 - tx[:, 0]) / (t1 - t0) * span
+    xy = np.stack([px, py], axis=1).ravel().tolist()
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
         f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
         f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
     ]
+    k = 0
     for idx, ls in enumerate(level_sets):
         color = _PALETTE[idx % len(_PALETTE)]
+        level = repr(ls.level)
         for poly in ls.polylines:
-            if len(poly) < 2:
-                continue
-            coords = [to_px(t, x) for (t, x) in poly]
-            d = "M " + " L ".join(f"{px:.3f} {py:.3f}" for px, py in coords)
-            lines.append(f'<path d="{d}" fill="none" stroke="{color}" '
-                         f'stroke-width="1.5" data-level="{repr(ls.level)}"/>')
+            n = len(poly)
+            if n >= 2:
+                d = ("M " + " L ".join(["%.3f %.3f"] * n)) % tuple(xy[k:k + 2 * n])
+                lines.append(f'<path d="{d}" fill="none" stroke="{color}" '
+                             f'stroke-width="1.5" data-level="{level}"/>')
+            k += 2 * n
     for idx, ls in enumerate(level_sets):
         color = _PALETTE[idx % len(_PALETTE)]
         y = 20 + 16 * idx

@@ -3,8 +3,9 @@
 ``reference_level_sets`` is the per-cell marching-squares loop that
 ``extract_level_sets`` used to run: one cell at a time, one scalar
 bisection per vertex through the float ``factor.value`` and its typed
-exceptions.  The array path must return exactly the same polylines
-(bitwise-equal vertices, same chaining order).
+exceptions, and polylines chained by walking a dict of adjacency lists
+(``_chain_segments``).  The array path must return exactly the same
+polylines (bitwise-equal vertices, same chaining order).
 """
 
 import math
@@ -17,7 +18,6 @@ from lorentz2d.analysis import (
     VALID,
     LevelSet,
     SampleGrid,
-    _chain_segments,
     extract_level_sets,
     sample_grid,
 )
@@ -85,6 +85,34 @@ def _refine_vertex(field, level, pa, fa, pb, fb, target, bound, max_bisections):
         else:
             hi = mid
     return best if best_res <= bound else None
+
+
+def _chain_segments(segments, verts) -> list:
+    adjacency: dict = {}
+    for idx, (a, b) in enumerate(segments):
+        adjacency.setdefault(a, []).append((idx, b))
+        adjacency.setdefault(b, []).append((idx, a))
+    used = [False] * len(segments)
+    polylines = []
+
+    def extend(key):
+        out = []
+        while True:
+            nxt = next(((idx, other) for idx, other in adjacency.get(key, ())
+                        if not used[idx]), None)
+            if nxt is None:
+                return out
+            used[nxt[0]] = True
+            key = nxt[1]
+            out.append(key)
+
+    for idx, (a, b) in enumerate(segments):
+        if used[idx]:
+            continue
+        used[idx] = True
+        keys = list(reversed(extend(a))) + [a, b] + extend(b)
+        polylines.append([verts[k] for k in keys])
+    return polylines
 
 
 def reference_level_sets(grid, levels, refine=True, residual_bound=1e-2,
@@ -324,6 +352,22 @@ def test_exact_hit_keeps_its_lattice_point():
     assert end[0] == 1.0 and abs(end[1] ** 2 - 1.0 + 0.5) <= 1e-3
 
 
+@pytest.mark.parametrize("refine", [True, False])
+def test_nan_corner_is_below_every_level(refine):
+    # as in an ``s2 >= level`` mask: at 0.5 the other three corners are
+    # above (case 14), at 2.5 only (1, 0) is (case 8); the crossings on
+    # the edges out of the NaN corner get NaN vertices, which are pruned,
+    # and the flat field never reaches 2.5 on the top edge
+    grid = _square_grid((math.nan, 1.0, 2.0, 3.0))
+    low, high = extract_level_sets(grid, [0.5, 2.5], refine=refine)
+    if refine:
+        assert (low.n_pruned, high.n_pruned) == (2, 2)
+        assert low.polylines == [] and high.polylines == []
+    else:
+        assert [len(p) for p in low.polylines] == [2]
+        assert [len(p) for p in high.polylines] == [2]
+        assert math.isnan(low.polylines[0][0][0])
+
 def test_failed_field_value_prunes_the_vertex():
     # Omega is NaN for 0.35 < x < 0.55, where both edges' linear guesses
     # (x = 0.5) land; bisecting on past them would find the level at
@@ -359,3 +403,35 @@ def test_invalid_cells_take_no_part():
     grid = sample_grid(flat_factor("1", "1"), BOX3, (30, 30), with_ricci=False)
     grid.status[10:20, 10:20] = DOMAIN_ERROR
     assert_matches_reference(grid, [-1.0, 0.0, 1.0], refine=True)
+
+
+BATCH_GRIDS = {
+    "jump": lambda: sample_grid(factor_from_expression("exp(1/(x + t - 1))"),
+                                Rectangle(-2.0, 2.0, -2.0, 2.0), (61, 61),
+                                with_ricci=False),
+    "compact_liouville": lambda: sample_grid(compactify(_raw_liouville()), Diamond(),
+                                             (48, 48), with_ricci=False),
+}
+
+
+@pytest.mark.parametrize("options", [{}, {"refine": False}, {"max_bisections": 0}],
+                         ids=["refine", "no-refine", "guess-only"])
+@pytest.mark.parametrize("name", sorted(BATCH_GRIDS))
+def test_levels_refined_together_match_levels_alone(name, options):
+    grid = BATCH_GRIDS[name]()
+    nowhere = 2.0 * float(np.nanmax(np.abs(grid.s2)))
+    levels = [0.5, *DIAGRAM_LEVELS, nowhere, 0.5, -1.0]
+    together = extract_level_sets(grid, levels, **options)
+    alone = [extract_level_sets(grid, [level], **options)[0] for level in levels]
+    assert len(together) == len(levels)
+    for got, want in zip(together, alone):
+        assert got.level == want.level
+        assert got.polylines == want.polylines, got.level
+        assert got.n_pruned == want.n_pruned, got.level
+        assert got.bisections == want.bisections, got.level
+        assert (got.max_residual == want.max_residual
+                or math.isnan(got.max_residual) and math.isnan(want.max_residual))
+    assert together[len(levels) - 3].polylines == []
+    assert extract_level_sets(grid, [], **options) == []
+    if name == "jump" and options.get("refine", True):
+        assert any(ls.n_pruned for ls in together)
