@@ -26,23 +26,25 @@ applies the triple through its ``compose``, the second-order chain rule
 
 (componentwise over (t, x) for ``Jet2``).  ``power`` is the one rule for
 constant exponents in all three algebras: repeated products for integer
-exponents up to |n| = 8 (preserving sign domains), and exp/log, which
-needs a positive base, for any other.  On the value and t-slots a
-``TAYLOR`` jet is bitwise the ``Jet2`` seeded ``Jet2(s, 1.0)``.
+exponents up to |n| = 8 (preserving sign domains), each partial product
+checked for finiteness, and exp/log, which needs a positive base, for
+any other.  On the value and t-slots a ``TAYLOR`` jet is bitwise the
+``Jet2`` seeded ``Jet2(s, 1.0)``.
 
-Finiteness is checked once per node output, so that overflow or an
-indeterminate form surfaces as a failure instead of propagating into
-curvature formulas: every jet operation checks the slots it builds
-(``checked``), and the expression compiler checks each value it computes
-(``finite``).  Division by zero fails, as does a function applied outside
-its real domain.  On floats a failure raises ``DomainError``.  On arrays
-it *poisons* the failing cells: every slot becomes NaN there, and NaN
-survives every later operation, so a cell stays failed even when a later
-op would have turned an overflow finite again (1/inf = 0, atan(inf) =
-pi/2).  ``reject`` and ``finite`` are the shared checks; callers read the
-failure mask back as ``isnan(value)``.  Array operations leave numpy's
-overflow and invalid warnings to the caller's ``np.errstate``: the
-results they flag are poisoned anyway.
+Finiteness is checked once per node output (and per partial product of
+an integer power), so that overflow or an indeterminate form surfaces as
+a failure instead of propagating into curvature formulas: every jet
+operation checks the slots it builds (``checked``), and the expression
+compiler checks each value it computes (``finite``).  Division by zero
+fails, as does a function applied outside its real domain.  On floats a
+failure raises ``DomainError``.  On arrays it *poisons* the failing
+cells: every slot becomes NaN there, and NaN survives every later
+operation, so a cell stays failed even when a later op would have turned
+an overflow finite again (1/inf = 0, atan(inf) = pi/2).  ``reject`` and
+``finite`` are the shared checks; callers read the failure mask back as
+``isnan(value)``.  Array operations leave numpy's overflow and invalid
+warnings to the caller's ``np.errstate``: the results they flag are
+poisoned anyway.
 """
 
 from __future__ import annotations
@@ -563,7 +565,7 @@ def power(algebra: Algebra, n: float) -> Callable:
     """a -> a**n in ``algebra`` for a constant real ``n``."""
     lift_, value, mul_, div_ = algebra.lift, algebra.value, algebra.mul, algebra.div
     if n.is_integer() and abs(n) <= _POW_PRODUCT_LIMIT:
-        m = int(n)
+        m, finite_ = int(n), algebra.finite
 
         def product(a):
             if m == 0:
@@ -571,6 +573,11 @@ def power(algebra: Algebra, n: float) -> Callable:
             p = a
             for _ in range(abs(m) - 1):
                 p = mul_(p, a)
+                # every partial product is checked, as a jet mul checks its
+                # slots: x^-8 fails where x^8 overflows, in every algebra
+                if finite_ is not None and not (p.__class__ is float
+                                                and -1e400 < p < 1e400):
+                    p = finite_(p)
             return div_(lift_(1.0), p) if m < 0 else p
 
         return product

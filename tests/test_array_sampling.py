@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorentz2d import analysis
 from lorentz2d.analysis import (
-    _BLOCK_CELLS,
     DOMAIN_ERROR,
     OUTSIDE,
     SINGULAR,
@@ -28,7 +29,12 @@ from lorentz2d.analysis import (
 )
 from lorentz2d.charts import Diamond, Rectangle, Region, compactify
 from lorentz2d.curvature import scalar_from_factor_jet
-from lorentz2d.errors import EvaluationError, QuadratureNonConvergence, SingularDenominator
+from lorentz2d.errors import (
+    DomainError,
+    EvaluationError,
+    QuadratureNonConvergence,
+    SingularDenominator,
+)
 from lorentz2d.expressions import FUNCTIONS, Binary, Call, Constant, Unary, Variable, substitute
 from lorentz2d.families import (
     Antiderivative,
@@ -145,10 +151,11 @@ CASES = {
 
 @pytest.mark.parametrize("with_ricci", [True, False])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_sample_grid_matches_per_cell_reference(case, with_ricci):
+def test_sample_grid_matches_per_cell_reference(case, with_ricci, monkeypatch):
     factor, domain = CASES[case]()
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 512)
     # 37 x 41 cells: more than one block, and the last block is partial
-    assert 37 * 41 > _BLOCK_CELLS
+    assert 37 * 41 > analysis._BLOCK_CELLS
     grid = assert_matches_reference(factor, domain, (37, 41), with_ricci)
     assert grid.n_valid > 0
 
@@ -201,6 +208,50 @@ def test_underflowing_cube_still_raises_like_the_reference():
         sample_grid(factor, BOX, (4, 4))
 
 
+DEFAULT_BLOCK_CELLS = analysis._BLOCK_CELLS
+# 65 x 65 cells: more than one default block, and the last block is partial
+BLOCK_LATTICE = (65, 65)
+
+
+@pytest.mark.parametrize("with_ricci", [True, False])
+@pytest.mark.parametrize("case", ["readme", "sec2_overhang", "compact_liouville", "region"])
+def test_outputs_do_not_depend_on_the_block_size(case, with_ricci, monkeypatch):
+    factor, domain = CASES[case]()
+    n_cells = BLOCK_LATTICE[0] * BLOCK_LATTICE[1]
+    assert n_cells > DEFAULT_BLOCK_CELLS
+    outputs = []
+    for block in (1, 7, 1024, DEFAULT_BLOCK_CELLS, n_cells + 1):
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", block)
+        grid = sample_grid(factor, domain, BLOCK_LATTICE, with_ricci=with_ricci)
+        outputs.append([getattr(grid, name).tobytes()
+                        for name in ("omega", "ricci", "s2", "status")])
+    assert all(out == outputs[0] for out in outputs[1:])
+    assert grid.n_valid > 0
+
+
+def _transient_bytes(factor, side):
+    """Peak bytes allocated while sampling, less the returned arrays."""
+    tracemalloc.start()
+    try:
+        grid = sample_grid(factor, None, (side, side), with_ricci=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = (grid.omega, grid.ricci, grid.s2, grid.status, grid.ts, grid.xs)
+    return peak - sum(a.nbytes for a in kept)
+
+
+def test_blocks_bound_the_transient_memory():
+    # One block for the whole lattice makes the intermediate arrays grow
+    # with it, about 9x from 150^2 to 450^2 cells.  Blocks cap them at a
+    # block's worth; the 450^2 blocks span a narrower t range of the
+    # diamond, so more of their cells are inside and evaluated (about
+    # 1.15x), which the margin of 1.5 allows.
+    factor = compactify(flat_factor("1", "1"))
+    small, large = _transient_bytes(factor, 150), _transient_bytes(factor, 450)
+    assert 0 < large < 1.5 * small
+
+
 def test_sampling_is_deterministic():
     factor, domain = CASES["compact_liouville"]()
     a = sample_grid(factor, domain, (30, 30))
@@ -239,6 +290,18 @@ def test_non_finite_intermediates_match_reference(source, with_ricci):
     grid = assert_matches_reference(factor, domain, (3, 23), with_ricci)
     if with_ricci:
         assert grid.n_domain_error > 0
+
+
+@pytest.mark.parametrize("with_ricci", [True, False])
+def test_overflowing_partial_power_is_a_domain_error(with_ricci):
+    # x^8 overflows inside the repeated product for x^-8, though 1/inf = 0
+    # would give Omega = 1: every algebra rejects the partial product
+    factor = factor_from_expression("1 + (x*1e40)^-8")
+    grid = sample_grid(factor, Rectangle(-1.0, 1.0, 0.5, 1.5), (2, 2),
+                       with_ricci=with_ricci)
+    assert np.all(grid.status == DOMAIN_ERROR)
+    with pytest.raises(DomainError):
+        factor.value(0.0, 1.0)
 
 
 _LEAF = st.one_of(st.sampled_from([Variable("t"), Variable("x")]),
