@@ -5,10 +5,12 @@ chart obtained by pulling a whole-plane factor back through
 
     u = tan(u~/2),  v = tan(v~/2),      u~ = x~ + t~,  v~ = x~ - t~,
 
-which maps the open diamond {|t~| + |x~| < pi} onto the full plane.  The
-compactified factor picks up the Jacobian (1/4) sec^2(u~/2) sec^2(v~/2)
-and keeps the same scalar curvature, since R is invariant under a change
-of coordinates combined with the matching conformal rescaling.
+which maps the open diamond {|t~| + |x~| < pi} onto the full plane.  With
+U = tan(u~/2) and U' = (1 + U^2)/2, the compactified factor picks up the
+Jacobian U'V' = (1/4) sec^2(u~/2) sec^2(v~/2) and keeps the same scalar
+curvature, since R is invariant under a change of coordinates combined
+with the matching conformal rescaling.  The map is diagonal between the
+null charts, so the jet is assembled there, as a Liouville factor's is.
 
 Domains are open point sets with a bounding box; membership uses strict
 inequalities so that boundary points (where compact factors blow up)
@@ -26,10 +28,14 @@ import numpy as np
 
 from . import jets
 from .errors import DomainError
-from .jets import Jet2
 
 _TAN = jets.VALUE_FUNCTIONS["tan"]
-_SEC = jets.VALUE_FUNCTIONS["sec"]
+
+
+def _half_angle(s):
+    """U = tan(s/2) and U' = (1 + U^2)/2 = sec^2(s/2)/2."""
+    u = _TAN(0.5 * s)
+    return u, 0.5 * (1.0 + u * u)
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,8 @@ def from_null(u: float, v: float) -> tuple[float, float]:
 
 
 def compactify(factor) -> "ConformalFactor":
-    """Pull a whole-plane factor back to the diamond chart.
+    """Pull a whole-plane factor back to the diamond chart, times the
+    Jacobian U'V' = (1/4) sec^2(u~/2) sec^2(v~/2).
 
     Requires ``factor.domain`` to be the full (t, x) plane; factors on a
     strip (e.g. a sec^2 branch) have no single-patch compactification
@@ -147,31 +154,21 @@ def compactify(factor) -> "ConformalFactor":
             f"this factor lives on {factor.domain!r}")
 
     def value_fn(tt, xx, status=None):
-        hu = 0.5 * (xx + tt)
-        hv = 0.5 * (xx - tt)
-        u = _TAN(hu)
-        v = _TAN(hv)
-        w = factor.value(0.5 * (u - v), 0.5 * (u + v), status)
-        su = _SEC(hu)
-        sv = _SEC(hv)
-        jac = 0.25 * (su * su) * (sv * sv)
-        return w * jac
+        u, du = _half_angle(xx + tt)
+        v, dv = _half_angle(xx - tt)
+        return factor.value(0.5 * (u - v), 0.5 * (u + v), status) * (du * dv)
 
     def jet_fn(tt, xx, status=None):
-        jt = jets.seed("t", (tt, xx))
-        jx = jets.seed("x", (tt, xx))
-        jhu = (jx + jt) * 0.5
-        jhv = (jx - jt) * 0.5
-        ju = jets.apply_elementary("tan", jhu)
-        jv = jets.apply_elementary("tan", jhv)
-        jtm = (ju - jv) * 0.5
-        jxm = (ju + jv) * 0.5
-        w = factor.jet(jtm.value, jxm.value, status)
-        pulled = jets.compose_map(w, jtm, jxm)
-        jsu = jets.apply_elementary("sec", jhu)
-        jsv = jets.apply_elementary("sec", jhv)
-        jac = 0.25 * (jsu * jsu) * (jsv * jsv)
-        return pulled * jac
+        # Omega~ = Omega(U(u~), V(v~)) U' V' in the null charts, where
+        # U'' = U U' and U''' = U'^2 + U U''
+        u, du = _half_angle(xx + tt)
+        v, dv = _half_angle(xx - tt)
+        w = jets.to_null(factor.jet(0.5 * (u - v), 0.5 * (u + v), status))
+        ddu, ddv = u * du, v * dv
+        pulled = jets.compose_null(w, (u, du, ddu), (v, dv, ddv))
+        jac = jets.null_product((du, ddu, du * du + u * ddu),
+                                (dv, ddv, dv * dv + v * ddv))
+        return jets.from_null(jets.mul(pulled, jac))
 
     expr = None
     if factor.expression is not None:

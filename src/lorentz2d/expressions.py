@@ -11,7 +11,8 @@ Grammar (whitespace insignificant)::
 ``^`` is right-associative and its base includes a leading unary minus,
 so ``-x^2`` parses as ``(-x)^2``.  Exponents must be real constants;
 ``2^x`` raises ``NonConstantExponent`` at parse time.  A minus directly
-in front of a numeric literal folds into a negative ``Constant``.
+in front of a numeric literal folds into a negative ``Constant``.  A
+literal beyond the double range (``1e999``) is a ``ParseError``.
 
 Variables are ``t``, ``x`` (standard chart), ``u``, ``v`` (null chart)
 and ``l`` (integration variable).  ``pi`` and ``e`` are keywords for the
@@ -108,6 +109,9 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"unexpected character {source[pos]!r}", pos,
                              _PRIMARY_EXPECTED)
         kind = m.lastgroup
+        if kind == "num" and math.isinf(float(m.group())):
+            raise ParseError(f"number {m.group()!r} is out of range", pos,
+                             ("a finite number",))
         tokens.append((kind, m.group(), pos))
         pos = m.end()
     tokens.append(("eof", "", n))

@@ -342,10 +342,11 @@ def _chebyshev_maps(n: int):
 _NODES, _TO_COEFFS, _MEAN = _chebyshev_maps(_CHEB_N)
 
 
-def _panel_value(row, s: float) -> float:
+def _panel_value(row, s):
     """F(s) = F(e) + (s - e) Q(x) on one panel row: (lo, inner end e, F(e),
     mid, 1/half, Q's coefficient of T_0, the others from the top degree
-    down), with x = (s - mid) / half, by Clenshaw's recurrence."""
+    down), with x = (s - mid) / half, by Clenshaw's recurrence.  For an
+    array ``s`` the row holds per-entry arrays (see ``_Table.read``)."""
     _, inner, base, mid, inv_half, first, rest = row
     x = (s - mid) * inv_half
     x2 = x + x
@@ -392,20 +393,16 @@ class _Table:
         return self.rows[bisect_right(self.starts, s) - 1]
 
     def read(self, s: np.ndarray) -> np.ndarray:
-        """``_panel_value`` at every covered entry of ``s``, NaN elsewhere:
-        the same operations in the same order, on arrays."""
+        """``_panel_value`` at every covered entry of ``s``, NaN elsewhere,
+        on a row of the gathered columns of each entry's panel."""
         out = np.full(s.shape, math.nan)
         ok = np.where(s < self.reference, s >= self.lo, s <= self.hi)
         if ok.any():
             s = s[ok]
             i = np.searchsorted(self.lows, s, "right") - 1
-            x = (s - self.mid[i]) * self.inv_half[i]
-            x2 = x + x
-            rest = self.rest[i]
-            b1 = b2 = np.zeros_like(s)
-            for k in range(_CHEB_N - 1):
-                b1, b2 = x2 * b1 - b2 + rest[:, k], b1
-            out[ok] = self.base[i] + (s - self.inner[i]) * (x * b1 - b2 + self.first[i])
+            row = (None, self.inner[i], self.base[i], self.mid[i], self.inv_half[i],
+                   self.first[i], self.rest[i].T)
+            out[ok] = _panel_value(row, s)
         return out
 
 
@@ -658,7 +655,7 @@ def liouville_factor(phi, psi, k: float, C: float, target: float,
         d = (k * f_anti.value(su) - cg * g_anti.value(sv)) + C
         d = jets.checked(d, k * a0, -cg * b0, k * a1, 0.0, -cg * b1)
         d = _off_band(d, d.value, singular_eps, status, t, x)
-        top = Jet2(a0 * b0, a1 * b0, a0 * b1, a2 * b0, a1 * b1, a0 * b2)
+        top = jets.null_product((a0, a1, a2), (b0, b1, b2))
         return jets.from_null(jets.div(top, jets.mul(d, d)))
 
     provenance = Provenance("liouville", {

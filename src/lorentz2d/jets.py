@@ -11,7 +11,9 @@ in that number system:
   respect to two active coordinates.  The slots are named after the
   standard chart (t, x), but the same structure serves the null chart:
   seed ``u`` into the t-slot and ``v`` into the x-slot and every rule
-  below reads unchanged; ``from_null`` pulls such a jet back to (t, x).
+  below reads unchanged.  ``from_null`` and ``to_null`` map such a jet
+  to (t, x) and back, ``compose_null`` pulls it back through a diagonal
+  map u = a(p), v = b(q), and ``null_product`` is the jet of f(u) g(v).
 
 Slots hold floats, or numpy arrays with one entry per lattice cell (a
 float slot broadcasts against arrays, so constants and seed derivatives
@@ -253,40 +255,39 @@ def compose(f0: float, f1: float, f2: float, inner: Jet2) -> Jet2:
     )
 
 
-def compose_map(w: Jet2, first: Jet2, second: Jet2) -> Jet2:
-    """Pull a jet back through a coordinate map.
-
-    ``w`` holds partials with respect to inner coordinates (a, b);
-    ``first`` and ``second`` are the jets of a and b with respect to the
-    outer coordinates.  Returns the jet of the composite in the outer
-    coordinates (second-order multivariate chain rule).
-    """
-    return checked(
-        w.value,
-        w.dt * first.dt + w.dx * second.dt,
-        w.dt * first.dx + w.dx * second.dx,
-        (w.dt * first.dtt + w.dx * second.dtt
-         + w.dtt * first.dt * first.dt
-         + 2.0 * w.dtx * first.dt * second.dt
-         + w.dxx * second.dt * second.dt),
-        (w.dt * first.dtx + w.dx * second.dtx
-         + w.dtt * first.dt * first.dx
-         + w.dtx * (first.dt * second.dx + first.dx * second.dt)
-         + w.dxx * second.dt * second.dx),
-        (w.dt * first.dxx + w.dx * second.dxx
-         + w.dtt * first.dx * first.dx
-         + 2.0 * w.dtx * first.dx * second.dx
-         + w.dxx * second.dx * second.dx),
-    )
-
-
 def from_null(w: Jet2) -> Jet2:
     """A jet in the null chart (u-partials in the t-slots, v-partials in the
-    x-slots) as a jet in (t, x): ``compose_map`` for the fixed linear map
-    u = x + t, v = x - t, i.e. d/dt = d/du - d/dv and d/dx = d/du + d/dv."""
+    x-slots) as a jet in (t, x), for the fixed linear map u = x + t,
+    v = x - t: d/dt = d/du - d/dv and d/dx = d/du + d/dv."""
     mixed = 2.0 * w.dtx
     return checked(w.value, w.dt - w.dx, w.dt + w.dx,
                    w.dtt - mixed + w.dxx, w.dtt - w.dxx, w.dtt + mixed + w.dxx)
+
+
+def to_null(w: Jet2) -> Jet2:
+    """The inverse of ``from_null``: d/du = (d/dt + d/dx)/2, d/dv = (d/dx - d/dt)/2."""
+    mixed = 2.0 * w.dtx
+    return checked(w.value, 0.5 * (w.dt + w.dx), 0.5 * (w.dx - w.dt),
+                   0.25 * (w.dtt + mixed + w.dxx), 0.25 * (w.dxx - w.dtt),
+                   0.25 * (w.dtt - mixed + w.dxx))
+
+
+def compose_null(w: Jet2, a: tuple, b: tuple) -> Jet2:
+    """A null-chart jet pulled back through u = a(p), v = b(q), given the
+    univariate jets (f, f', f'') of a at p and b at q; p-partials land in
+    the t-slots."""
+    _, a1, a2 = a
+    _, b1, b2 = b
+    return checked(w.value, w.dt * a1, w.dx * b1, w.dtt * (a1 * a1) + w.dt * a2,
+                   w.dtx * (a1 * b1), w.dxx * (b1 * b1) + w.dx * b2)
+
+
+def null_product(a: tuple, b: tuple) -> Jet2:
+    """The null-chart jet of f(u) g(v) from univariate jets of f at u and g
+    at v, unchecked: the operation that consumes it checks its slots."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return Jet2(a0 * b0, a1 * b0, a0 * b1, a2 * b0, a1 * b1, a0 * b2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Chart maps, domain objects, compactification, interval diagnostic."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorentz2d import jets
 from lorentz2d.charts import (
     Diamond,
     Rectangle,
@@ -19,8 +21,9 @@ from lorentz2d.charts import (
     to_null,
 )
 from lorentz2d.curvature import ricci_from_omega
-from lorentz2d.errors import SINGULAR, VALID, DomainError
+from lorentz2d.errors import SINGULAR, VALID, DomainError, EvaluationError
 from lorentz2d.expressions import evaluate, parse, unparse
+from lorentz2d.jets import Jet2
 from lorentz2d.families import (
     factor_from_expression,
     flat_factor,
@@ -142,6 +145,9 @@ def test_compactify_value_equals_jet_value_bitwise():
     c = compactify(factor_from_expression("exp(x*t/4)"))
     for t, x in [(0.3, -0.2), (1.2, 0.7), (-2.1, 0.4)]:
         assert c.jet(t, x).value == c.value(t, x)
+    t = np.array([0.3, 1.2, -2.1])
+    x = np.array([-0.2, 0.7, 0.4])
+    assert c.jet(t, x).value.tobytes() == c.value(t, x).tobytes()
 
 
 def test_compactify_preserves_scalar_curvature_pointwise():
@@ -177,6 +183,191 @@ def test_compactify_rejects_other_charts():
         compactify(factor_from_expression("(u - 0.25*v + 1)^(-2)"))
     with pytest.raises(ValueError):
         compactify(compactify(flat_factor("1", "1")))
+
+
+# ---------------------------------------------------------------------------
+# The null-chart jet against the earlier six-slot composition
+#
+# ``reference_compact_jet`` keeps the compactified jet as it was built
+# before: six-slot jets of the half angles, of tan and of sec, and the
+# general second-order chain rule ``compose_map`` (kept here as it was in
+# ``jets``).  The jet assembled in the null charts must give the same
+# statuses and NaN cells and a value slot bitwise ``value_fn``'s.  Where
+# the value lies in the identity checks' window [1e-3, 1e6], every slot
+# must be within JET_RTOL of the reference's largest slot of the same
+# order, or within FLOOR_MULTIPLE rounding floors of the reference's own
+# sums.  The floor is needed: at (t, x) = (-0.200, -2.927) on the random
+# flat factor the two dtx slots differ by 1.9e-13 of the largest second
+# derivative, and 50-digit arithmetic puts the reference 2.3e-13 and the
+# null-chart jet 9e-15 off there.  Over the four factors at 157 x 161 the
+# worst slot used 8% of its bound.  Outside the window, cells down to
+# subnormal values differ by a few units in their last place.
+
+JET_RTOL = 1e-13
+EPS = np.finfo(float).eps
+FLOOR_MULTIPLE = 32
+WINDOW = (1e-3, 1e6)
+SLOTS = ("value", "dt", "dx", "dtt", "dtx", "dxx")
+COMPACT_INNERS = {
+    "unit": lambda: flat_factor("1", "1"),
+    "raw_liouville": lambda: liouville_factor("l", "l", k=1.0, C=0.0, target=2.0,
+                                              raw_antiderivative=True),
+    "readme_r2": lambda: factor_from_expression(
+        "exp(2*x) * (exp(x+t) - (1/4)*exp(x-t))^(-2)"),
+    # criterion 06's envelopes; the cubic overflows near the diamond's corners
+    "random_flat": lambda: flat_factor(
+        "exp((0.131072)*sin(l) + (-0.083157)*cos(l) + (0.114480)*l)",
+        "exp((0.052311) + (-0.171124)*l + (0.090417)*l^2 + (-0.121936)*l^3)"),
+}
+
+
+def compose_map(w, first, second):
+    """Pull a jet back through a coordinate map.
+
+    ``w`` holds partials with respect to inner coordinates (a, b);
+    ``first`` and ``second`` are the jets of a and b with respect to the
+    outer coordinates.  Returns the jet of the composite in the outer
+    coordinates (second-order multivariate chain rule).
+    """
+    return jets.checked(
+        w.value,
+        w.dt * first.dt + w.dx * second.dt,
+        w.dt * first.dx + w.dx * second.dx,
+        (w.dt * first.dtt + w.dx * second.dtt
+         + w.dtt * first.dt * first.dt
+         + 2.0 * w.dtx * first.dt * second.dt
+         + w.dxx * second.dt * second.dt),
+        (w.dt * first.dtx + w.dx * second.dtx
+         + w.dtt * first.dt * first.dx
+         + w.dtx * (first.dt * second.dx + first.dx * second.dt)
+         + w.dxx * second.dt * second.dx),
+        (w.dt * first.dxx + w.dx * second.dxx
+         + w.dtt * first.dx * first.dx
+         + 2.0 * w.dtx * first.dx * second.dx
+         + w.dxx * second.dx * second.dx),
+    )
+
+
+def reference_compact_jet(factor):
+    """The six-slot composition of the compactified factor's jet."""
+
+    def jet_fn(tt, xx, status=None):
+        jt = jets.seed("t", (tt, xx))
+        jx = jets.seed("x", (tt, xx))
+        jhu = (jx + jt) * 0.5
+        jhv = (jx - jt) * 0.5
+        ju = jets.apply_elementary("tan", jhu)
+        jv = jets.apply_elementary("tan", jhv)
+        jtm = (ju - jv) * 0.5
+        jxm = (ju + jv) * 0.5
+        w = factor.jet(jtm.value, jxm.value, status)
+        pulled = compose_map(w, jtm, jxm)
+        jsu = jets.apply_elementary("sec", jhu)
+        jsv = jets.apply_elementary("sec", jhv)
+        jac = 0.25 * (jsu * jsu) * (jsv * jsv)
+        return pulled * jac
+
+    return jet_fn
+
+
+def _compact_triple(name):
+    """The inner factor, its compactification and the same with the
+    reference jet."""
+    inner = COMPACT_INNERS[name]()
+    c = compactify(inner)
+    return inner, c, dataclasses.replace(c, jet_fn=reference_compact_jet(inner))
+
+
+def _diamond_cells(n_t=157, n_x=161):
+    ts = -math.pi + (np.arange(n_t) + 0.5) * (2.0 * math.pi / n_t)
+    xs = -math.pi + (np.arange(n_x) + 0.5) * (2.0 * math.pi / n_x)
+    t, x = np.meshgrid(ts, xs, indexing="ij")
+    inside = Diamond(math.pi).contains(t, x)
+    return t[inside], x[inside]
+
+
+def _magnitudes(w):
+    return Jet2(*(np.abs(getattr(w, n)) for n in SLOTS))
+
+
+def reference_terms(factor, tt, xx):
+    """Per slot, the sum of |terms| that ``reference_compact_jet`` adds up
+    in its pullback and its product with the Jacobian.  Both are sums of
+    products, so the same formulas on the slots' magnitudes give those
+    sums."""
+    jt = jets.seed("t", (tt, xx))
+    jx = jets.seed("x", (tt, xx))
+    jhu = (jx + jt) * 0.5
+    jhv = (jx - jt) * 0.5
+    ju = jets.apply_elementary("tan", jhu)
+    jv = jets.apply_elementary("tan", jhv)
+    jtm = (ju - jv) * 0.5
+    jxm = (ju + jv) * 0.5
+    w = factor.jet(jtm.value, jxm.value)
+    jsu = jets.apply_elementary("sec", jhu)
+    jsv = jets.apply_elementary("sec", jhv)
+    jac = 0.25 * (jsu * jsu) * (jsv * jsv)
+    pulled = compose_map(_magnitudes(w), _magnitudes(jtm), _magnitudes(jxm))
+    return jets.mul(pulled, _magnitudes(jac))
+
+
+def assert_compact_jets_agree(got, want, terms):
+    """The same NaN cells; in the window, each slot within JET_RTOL of the
+    largest |slot| of its order in ``want``, or within FLOOR_MULTIPLE
+    rounding floors eps * ``terms``."""
+    shape = np.shape(want.value)
+    np.testing.assert_array_equal(np.isnan(got.value), np.isnan(want.value))
+    ok = (want.value >= WINDOW[0]) & (want.value <= WINDOW[1])
+    for names in (("value",), ("dt", "dx"), ("dtt", "dtx", "dxx")):
+        g, w, f = ([np.broadcast_to(getattr(j, n), shape)[ok] for n in names]
+                   for j in (got, want, terms))
+        scale = np.max(np.abs(w), axis=0)
+        for name, gs, ws, fs in zip(names, g, w, f):
+            bound = np.maximum(JET_RTOL * scale, FLOOR_MULTIPLE * EPS * fs)
+            assert np.all(np.abs(gs - ws) <= bound), name
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EvaluationError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("name", COMPACT_INNERS)
+def test_compact_jet_matches_reference_on_arrays(name):
+    inner, c, reference = _compact_triple(name)
+    t, x = _diamond_cells()
+    status, ref_status = (np.full(t.shape, VALID, dtype=np.int8) for _ in range(2))
+    with np.errstate(all="ignore"):
+        got = c.jet(t, x, status)
+        want = reference.jet(t, x, ref_status)
+        terms = reference_terms(inner, t, x)
+        values = c.value(t, x)
+    np.testing.assert_array_equal(status, ref_status)
+    assert_compact_jets_agree(got, want, terms)
+    ok = ~np.isnan(got.value)
+    assert ok.sum() > 0.9 * t.size
+    assert got.value[ok].tobytes() == values[ok].tobytes()
+
+
+@pytest.mark.parametrize("name", COMPACT_INNERS)
+def test_compact_jet_matches_reference_on_floats(name):
+    inner, c, reference = _compact_triple(name)
+    t, x = _diamond_cells()
+    with np.errstate(all="ignore"):
+        failed = np.isnan(reference.jet(t, x).value)
+    if name in ("raw_liouville", "random_flat"):
+        assert failed.any()
+    # every failing cell and every ninth other one
+    pick = failed | (np.arange(t.size) % 9 == 0)
+    for a, b in zip(t[pick].tolist(), x[pick].tolist()):
+        got, want = _outcome(c.jet, a, b), _outcome(reference.jet, a, b)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert got.value == c.value(a, b)
+        assert_compact_jets_agree(got, want, reference_terms(inner, a, b))
 
 
 # ---------------------------------------------------------------------------

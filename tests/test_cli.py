@@ -240,6 +240,22 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("argv, offset", [
+    (["check", "--omega", "1e999", "--target", "0"], 0),
+    (["family", "flat", "--phi", "1e999", "--psi", "1"], 0),
+    (["compactify", "--omega=-1e999*exp(t)", "--target", "0"], 1),
+])
+def test_out_of_range_literal_exits_2(capsys, argv, offset):
+    # read as inf, such a literal used to give VALID cells holding inf or
+    # NaN, numpy's "All-NaN slice" error, or a descriptor that did not
+    # parse back
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: number '1e999' is out of range (offset {offset})\n"
+
+
 def test_argparse_failures_exit_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

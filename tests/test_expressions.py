@@ -112,6 +112,20 @@ def test_parse_error_trailing_input():
         parse("1 2")
 
 
+@pytest.mark.parametrize("source, offset", [
+    ("1e999", 0), ("-1e999", 1), ("2*x + 1E400", 6), ("x^-1e309", 3)])
+def test_parse_error_out_of_range_literal(source, offset):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert err.value.offset == offset
+    assert "out of range" in err.value.message
+
+
+def test_tiny_literal_parses_to_zero():
+    assert parse("1e-999") == Constant(0.0)
+    assert parse("1.7976931348623157e308") == Constant(1.7976931348623157e308)
+
+
 def test_non_constant_exponent():
     with pytest.raises(NonConstantExponent):
         parse("2^x")

@@ -12,14 +12,18 @@ from lorentz2d.jets import (
     add,
     apply_elementary,
     compose,
-    compose_map,
+    compose_null,
     div,
+    from_null,
     lift,
     mul,
     powc,
+    null_product,
     seed,
     sub,
+    to_null,
 )
+from test_charts import compose_map
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +236,9 @@ def test_chain_rule_closed_form():
     assert math.isclose(j.dxx, v * st_ * st_, rel_tol=1e-13)
 
 
+# ``compose_map``, the general chain rule, is the test-local copy behind
+# test_charts.reference_compact_jet; these two keep that reference honest.
+
 def test_compose_map_matches_direct_composition():
     # G(t, x) = sin(t^2 + x) * (t - x) composed through a = t^2 + x, b = t - x
     t0, x0 = 0.7, -0.4
@@ -259,6 +266,65 @@ def test_compose_map_identity_map():
     w = apply_elementary("tanh", mul(seed("t", (t0, x0)), seed("x", (t0, x0))))
     pulled = compose_map(w, seed("t", (t0, x0)), seed("x", (t0, x0)))
     assert pulled == w
+
+
+# ---------------------------------------------------------------------------
+# The null-chart helpers
+
+SLOTS = ("value", "dt", "dx", "dtt", "dtx", "dxx")
+
+
+def _assert_close(got, want):
+    for slot in SLOTS:
+        assert math.isclose(getattr(got, slot), getattr(want, slot),
+                            rel_tol=1e-13, abs_tol=1e-13), slot
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+                min_size=6, max_size=6))
+def test_to_null_inverts_from_null(slots):
+    w = Jet2(*slots)
+    scale = max(abs(s) for s in slots)
+    for got in (from_null(to_null(w)), to_null(from_null(w))):
+        for slot in SLOTS:
+            assert abs(getattr(got, slot) - getattr(w, slot)) <= 1e-14 * scale
+
+
+def test_to_null_differentiates_in_the_null_chart():
+    # G(t, x) = exp(t) sin(x) with t = (u - v)/2, x = (u + v)/2
+    u0, v0 = 0.9, -0.3
+    U, V = seed("u", (u0, v0)), seed("v", (u0, v0))
+    direct = mul(apply_elementary("exp", (U - V) * 0.5),
+                 apply_elementary("sin", (U + V) * 0.5))
+    t0, x0 = 0.5 * (u0 - v0), 0.5 * (u0 + v0)
+    w = mul(apply_elementary("exp", seed("t", (t0, x0))),
+            apply_elementary("sin", seed("x", (t0, x0))))
+    _assert_close(to_null(w), direct)
+
+
+def test_compose_null_matches_direct_composition():
+    # G(u, v) = sin(u v) + u^2 through u = a(p) = p^3 + p, v = b(q) = exp(q/2)
+    p0, q0 = 0.6, -0.8
+    a = (p0 ** 3 + p0, 3.0 * p0 * p0 + 1.0, 6.0 * p0)
+    e = math.exp(0.5 * q0)
+    b = (e, 0.5 * e, 0.25 * e)
+    U, V = seed("u", (a[0], b[0])), seed("v", (a[0], b[0]))
+    w = add(apply_elementary("sin", mul(U, V)), mul(U, U))
+    P, Q = seed("t", (p0, q0)), seed("x", (p0, q0))
+    A = add(powc(P, 3.0), P)
+    B = apply_elementary("exp", Q * 0.5)
+    direct = add(apply_elementary("sin", mul(A, B)), mul(A, A))
+    _assert_close(compose_null(w, a, b), direct)
+
+
+def test_null_product_is_mul_of_seeded_jets():
+    u0, v0 = 0.4, -1.3
+    f = (math.exp(u0), math.exp(u0), math.exp(u0))
+    g = (math.sin(v0), math.cos(v0), -math.sin(v0))
+    want = mul(apply_elementary("exp", seed("u", (u0, v0))),
+               apply_elementary("sin", seed("v", (u0, v0))))
+    assert null_product(f, g) == want
 
 
 # ---------------------------------------------------------------------------
