@@ -219,7 +219,11 @@ def constancy_report(grid: SampleGrid, target: float | None = None,
     worst = int(np.nanargmax(flat))
     i, j = divmod(worst, dev.shape[1])
     max_abs = float(flat[worst])
-    mean = float(np.nanmean(dev))
+    with np.errstate(over="ignore"):
+        mean = float(np.nanmean(dev))
+        if not math.isfinite(mean) and math.isfinite(max_abs):
+            # the sum overflowed; the mean of dev / max_abs lies in [-1, 1]
+            mean = float(np.nanmean(dev / max_abs)) * max_abs
     return CurvatureReport(
         target_R=float(target),
         tolerance=float(tolerance),

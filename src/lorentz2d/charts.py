@@ -28,8 +28,16 @@ import numpy as np
 
 from . import jets
 from .errors import DomainError
+from .expressions import Binary, Constant, parse, substitute
 
 _TAN = jets.VALUE_FUNCTIONS["tan"]
+
+# the null coordinates as formulas in (t, x)
+NULL_COORDINATES = {"u": parse("x + t"), "v": parse("x - t")}
+# (t, x) and the Jacobian U'V' as formulas in the diamond chart (t~, x~)
+_FROM_DIAMOND = {name: substitute(parse(f"(tan(u/2) {op} tan(v/2))/2"), NULL_COORDINATES)
+                 for name, op in (("t", "-"), ("x", "+"))}
+_JACOBIAN = substitute(parse("0.25*sec(u/2)^2*sec(v/2)^2"), NULL_COORDINATES)
 
 
 def _half_angle(s):
@@ -154,16 +162,18 @@ def compactify(factor) -> "ConformalFactor":
             f"this factor lives on {factor.domain!r}")
 
     def value_fn(tt, xx, status=None):
-        u, du = _half_angle(xx + tt)
-        v, dv = _half_angle(xx - tt)
-        return factor.value(0.5 * (u - v), 0.5 * (u + v), status) * (du * dv)
+        su, sv = to_null(tt, xx)
+        u, du = _half_angle(su)
+        v, dv = _half_angle(sv)
+        return factor.value(*from_null(u, v), status) * (du * dv)
 
     def jet_fn(tt, xx, status=None):
         # Omega~ = Omega(U(u~), V(v~)) U' V' in the null charts, where
         # U'' = U U' and U''' = U'^2 + U U''
-        u, du = _half_angle(xx + tt)
-        v, dv = _half_angle(xx - tt)
-        w = jets.to_null(factor.jet(0.5 * (u - v), 0.5 * (u + v), status))
+        su, sv = to_null(tt, xx)
+        u, du = _half_angle(su)
+        v, dv = _half_angle(sv)
+        w = jets.to_null(factor.jet(*from_null(u, v), status))
         ddu, ddv = u * du, v * dv
         pulled = jets.compose_null(w, (u, du, ddu), (v, dv, ddv))
         jac = jets.null_product((du, ddu, du * du + u * ddu),
@@ -172,22 +182,8 @@ def compactify(factor) -> "ConformalFactor":
 
     expr = None
     if factor.expression is not None:
-        from .expressions import Binary, Call, Constant, Variable, substitute
-        hu_ast = Binary("div", Binary("add", Variable("x"), Variable("t")), Constant(2.0))
-        hv_ast = Binary("div", Binary("sub", Variable("x"), Variable("t")), Constant(2.0))
-        u_ast = Call("tan", hu_ast)
-        v_ast = Call("tan", hv_ast)
-        tmap = Binary("div", Binary("sub", u_ast, v_ast), Constant(2.0))
-        xmap = Binary("div", Binary("add", u_ast, v_ast), Constant(2.0))
-        jac_ast = Binary("mul",
-                         Binary("mul", Constant(0.25),
-                                Binary("pow", Call("sec", hu_ast), Constant(2.0))),
-                         Binary("pow", Call("sec", hv_ast), Constant(2.0)))
-        inner = substitute(factor.expression, {"t": tmap, "x": xmap})
-        if isinstance(inner, Constant) and inner.value == 1.0:
-            expr = jac_ast
-        else:
-            expr = Binary("mul", inner, jac_ast)
+        inner = substitute(factor.expression, _FROM_DIAMOND)
+        expr = _JACOBIAN if inner == Constant(1.0) else Binary("mul", inner, _JACOBIAN)
 
     return ConformalFactor(
         chart="compact",

@@ -41,8 +41,7 @@ Point = tuple[float, float]
 def _as_jet_fn(field, variables: tuple[str, str]) -> Callable[[float, float], Jet2]:
     if hasattr(field, "jet"):
         return field.jet
-    if isinstance(field, (expressions.Constant, expressions.Variable,
-                          expressions.Unary, expressions.Binary, expressions.Call)):
+    if isinstance(field, expressions.NODES):
         first, second = variables
         jet = expressions.compile_expression(field, jets.JET2)
 
@@ -59,8 +58,7 @@ def _as_jet_fn(field, variables: tuple[str, str]) -> Callable[[float, float], Je
 
 
 def _as_value_fn(field) -> Callable[[float, float], float]:
-    if isinstance(field, (expressions.Constant, expressions.Variable,
-                          expressions.Unary, expressions.Binary, expressions.Call)):
+    if isinstance(field, expressions.NODES):
         values = expressions.compile_expression(field)
         return lambda a, b: values({"t": a, "x": b})
     if hasattr(field, "value") and callable(field.value):

@@ -82,6 +82,9 @@ class Call:
 
 
 Expression = Union[Constant, Variable, Unary, Binary, Call]
+# the node classes as a tuple, for isinstance: much cheaper than a check
+# against the Union
+NODES = (Constant, Variable, Unary, Binary, Call)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ from .expressions import (
     Call,
     Constant,
     Expression,
-    Unary,
+    NODES,
     Variable,
     compile_expression,
     free_variables,
@@ -195,7 +195,7 @@ def _pow(a: Expression, n: float) -> Expression:
 def _as_expression(source) -> Expression:
     if isinstance(source, str):
         return parse(source)
-    if isinstance(source, (Constant, Variable, Unary, Binary, Call)):
+    if isinstance(source, NODES):
         return source
     raise TypeError(f"expected source text or an expression, got {source!r}")
 
@@ -237,8 +237,7 @@ def flat_factor(phi, psi, domain=None) -> ConformalFactor:
     """
     phi = _as_expression(phi)
     psi = _as_expression(psi)
-    u_expr = Binary("add", Variable("x"), Variable("t"))
-    v_expr = Binary("sub", Variable("x"), Variable("t"))
+    u_expr, v_expr = charts.NULL_COORDINATES["u"], charts.NULL_COORDINATES["v"]
     phi_var = _single_variable(phi, "phi")
     psi_var = _single_variable(psi, "psi")
     left = substitute(phi, {phi_var: u_expr}) if phi_var else phi
@@ -624,8 +623,7 @@ def liouville_factor(phi, psi, k: float, C: float, target: float,
                 "and fold the constant into C instead")
         f_anti = _ExactExp()
         g_anti = _ExactExp()
-        u_ast = Binary("add", Variable("x"), Variable("t"))
-        v_ast = Binary("sub", Variable("x"), Variable("t"))
+        u_ast, v_ast = charts.NULL_COORDINATES["u"], charts.NULL_COORDINATES["v"]
         d_ast = _add(_sub(_mul(_c(k), Call("exp", u_ast)),
                           _mul(_c(cg), Call("exp", v_ast))), _c(C))
         expr = _mul(_mul(Call("exp", u_ast), Call("exp", v_ast)),

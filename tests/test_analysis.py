@@ -126,6 +126,25 @@ def test_report_flags_wrong_target():
     assert float(report.worst_point[1]) in grid.xs
 
 
+def test_report_mean_survives_an_overflowing_sum():
+    # 2500 deviations of -1e305 sum past the double range; the mean is
+    # still -1e305, and the JSON report stays valid JSON
+    grid = sample_grid(factor_from_expression("1"), BOX, resolution=(50, 50))
+    report = constancy_report(grid, target=1e305)
+    assert report.max_abs_deviation == 1e305
+    assert report.mean_deviation == pytest.approx(-1e305, rel=1e-12)
+    payload = json.loads(report_to_json(report), parse_constant=pytest.fail)
+    assert payload["mean_deviation"] == report.mean_deviation
+
+
+def test_report_mean_is_the_plain_mean_where_that_is_finite():
+    grid = sample_grid(factor_from_expression("exp(t^2)"), BOX, resolution=(30, 30))
+    for target in (0.0, 1e300, -1e305):
+        report = constancy_report(grid, target=target)
+        dev = np.where(grid.status == VALID, grid.ricci - target, np.nan)
+        assert report.mean_deviation == float(np.nanmean(dev))
+
+
 def test_report_requires_some_target():
     grid = sample_grid(factor_from_expression("exp(t)"), BOX, resolution=(5, 5))
     with pytest.raises(ValueError):

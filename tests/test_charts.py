@@ -119,6 +119,25 @@ def test_compactify_flat_factor_prints_jacobian():
     assert unparse(c.expression) == COMPACT_JACOBIAN
 
 
+def test_compactify_tree_equals_the_hand_built_one():
+    # a reference built node by node; expression nodes compare by value
+    from lorentz2d.expressions import Binary, Call, Constant, Variable, substitute
+
+    x, t, two = Variable("x"), Variable("t"), Constant(2.0)
+    hu = Binary("div", Binary("add", x, t), two)
+    hv = Binary("div", Binary("sub", x, t), two)
+    tan_u, tan_v = Call("tan", hu), Call("tan", hv)
+    jac = Binary("mul",
+                 Binary("mul", Constant(0.25), Binary("pow", Call("sec", hu), two)),
+                 Binary("pow", Call("sec", hv), two))
+    inner = parse("exp(t) * (1 + x^2)")
+    expected = Binary("mul", substitute(inner, {
+        "t": Binary("div", Binary("sub", tan_u, tan_v), two),
+        "x": Binary("div", Binary("add", tan_u, tan_v), two)}), jac)
+    assert compactify(factor_from_expression(inner)).expression == expected
+    assert compactify(flat_factor("1", "1")).expression == jac
+
+
 def test_compactify_flat_matches_both_closed_forms():
     c = compactify(flat_factor("1", "1"))
     half_angle = parse(COMPACT_JACOBIAN)

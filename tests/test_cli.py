@@ -1,8 +1,11 @@
 """End-to-end command-line behavior: exit codes, output, file exports."""
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lorentz2d.cli import main
 
@@ -277,3 +280,167 @@ def test_no_valid_samples_exit_3(capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# one parse for every option: non-finite numbers, config entries as flags
+
+@pytest.mark.parametrize("argv", [
+    ["family", "liouville", "--phi", "l", "--psi", "l", "--k", "1", "--C", "0",
+     "--R", "1e999", "--raw-antiderivative"],
+    ["check", "--omega", "1", "--target", "nan"],
+    ["check", "--omega", "1", "--target", "1e999"],
+    ["check", "--omega", "1", "--target", "0", "--tol", "nan"],
+    ["contour", "--omega", "1", "--levels=inf,1"],
+    ["check", "--omega", "1", "--target", "0", "--domain", "rect:-inf,0,0,1"],
+    ["check", "--family", "timelike", "--c1", "-4", "--R", "2", "--c2=-inf"],
+])
+def test_non_finite_numbers_exit_2(capsys, argv):
+    # these used to print inf into a descriptor, die in numpy's "All-NaN
+    # slice", FAIL every cell or draw a level at infinity
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "not a finite number" in captured.err
+
+
+@pytest.mark.parametrize("entries", [
+    {"family": "liouville", "phi": "l", "psi": "l", "R": math.inf,
+     "raw_antiderivative": True},
+    {"omega": "1", "target": math.nan},
+    {"family": "timelike", "c1": True, "R": -2},   # used to read as c1 = 1.0
+    {"omega": "1", "target": 0, "format": "xml"},
+    {"omega": "1", "target": 0, "tar": 0},
+    {"omega": "1", "target": 0, "grid": [4, 4], "out": ["a", "b"]},
+    {"omega": "1", "target": 0, "config": "other.json"},
+])
+def test_bad_config_entries_exit_2_before_any_work(tmp_path, capsys, entries):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entries))
+    rc = main(["check", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_abbreviated_flags_are_refused(capsys):
+    assert main(["check", "--omega", "1", "--tar", "0"]) == 2
+    assert "unrecognized arguments: --tar" in capsys.readouterr().err
+
+
+def test_family_config_key_cannot_override_the_family_name(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"family": "timelike", "c1": -4, "R": 2}))
+    rc = main(["family", "flat", "--phi", "1", "--psi", "1", "--config", str(cfg)])
+    assert rc == 2
+    assert "unrecognized arguments: --family=timelike" in capsys.readouterr().err
+
+
+def test_config_lists_booleans_and_nulls(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"phi": "l", "psi": "l", "R": 2, "k": None,
+                               "raw_antiderivative": True, "grid": [5, 5],
+                               "levels": [-1, 0.5], "out": "grid.csv"}))
+    rc = main(["family", "liouville", "--config", str(cfg), "--out",
+               str(tmp_path / "flag.csv")])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == OMEGA1_NULL_PRINTED
+    assert len((tmp_path / "flag.csv").read_text().splitlines()) == 26
+
+    cfg.write_text(json.dumps({"omega": "1", "target": 0, "tol": None,
+                               "raw_antiderivative": False, "grid": "8x8"}))
+    assert main(["check", "--config", str(cfg)]) == 0   # a null tol used to crash
+    assert "PASS (tolerance 1e-06)" in capsys.readouterr().out
+
+
+def test_mean_deviation_stays_finite_in_the_json_report(tmp_path, capsys):
+    out_file = tmp_path / "r.json"
+    rc = main(["check", "--omega", "1", "--target", "1e305",
+               "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "mean deviation = -1.000000e+305" in captured.out
+    payload = json.loads(out_file.read_text(), parse_constant=pytest.fail)
+    assert payload["mean_deviation"] == pytest.approx(-1e305, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--omega", "1", "--target", "0", "--grid", "4x4"],
+    ["contour", "--omega", "1", "--grid", "4x4", "--levels", "1"],
+])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    # used to end in a FileNotFoundError traceback with exit 1, the code
+    # of a failed claim
+    rc = main([*argv, "--out", str(tmp_path / "missing" / "r.out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+
+# Option text: half of it valid, the rest any float repr (nan and inf
+# included), out-of-range literals, junk or empty strings.
+_WILD = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1e999", "-1e999", "nan", "inf", "-inf", "", " ", "junk", "1,2"]),
+    st.text(alphabet="0123456789.e-+xinf, ", max_size=6))
+
+
+def _half_valid(valid):
+    return st.booleans().flatmap(lambda ok: valid if ok else _WILD)
+
+
+_NUMBER = _half_valid(st.floats(-3.0, 3.0).map(repr))
+_REQUIRED = {
+    "grid": _half_valid(st.tuples(st.integers(1, 6), st.integers(1, 6))
+                        .map("{0[0]}x{0[1]}".format)),
+    "target": _NUMBER,
+}
+_OPTIONAL = {
+    "tol": _half_valid(st.sampled_from(["1e-6", "0.5", "10"])),
+    "levels": st.lists(_NUMBER, min_size=1, max_size=3).map(",".join),
+    "domain": _half_valid(st.one_of(
+        st.sampled_from(["diamond", "rect:-1,1,-1,1", "rect:0,1e308,-1e308,0"]),
+        st.lists(_NUMBER, min_size=3, max_size=5).map(lambda b: "rect:" + ",".join(b)))),
+    "format": _half_valid(st.sampled_from(["csv", "json", "svg"])),
+}
+# random family parameters would reach the Omega^3 underflow of the
+# curvature formula (a known ZeroDivisionError gated by the benchmark),
+# so the factor is fixed
+_FACTORS = [["check", "--omega", "1"], ["compactify", "--omega", "1"],
+            ["contour", "--omega", "1"], ["family", "flat", "--phi", "1", "--psi", "1"]]
+
+
+def _finite_or_junk(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return True
+
+
+def _run(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc in (0, 1, 2, 3)
+    assert ("error:" in captured.err) == (rc in (2, 3)), captured.err
+    return rc, captured.out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(factor=st.sampled_from(_FACTORS), data=st.data(),
+       options=st.fixed_dictionaries(_REQUIRED, optional=_OPTIONAL))
+def test_cli_contract(tmp_path, capsys, factor, options, data):
+    rc, out = _run([*factor, *(f"--{k}={v}" for k, v in options.items())], capsys)
+    numbers = [options["target"], options.get("tol", "")]
+    numbers += options.get("levels", "").split(",")
+    if options.get("domain", "").startswith("rect:"):
+        numbers += options["domain"][len("rect:"):].split(",")
+    if not all(map(_finite_or_junk, numbers)):
+        assert rc == 2
+
+    moved = data.draw(st.sets(st.sampled_from(sorted(options))), label="moved")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({k: options[k] for k in moved}))
+    kept = (f"--{k}={v}" for k, v in options.items() if k not in moved)
+    assert _run([*factor, "--config", str(cfg), *kept], capsys) == (rc, out)
