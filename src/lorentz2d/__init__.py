@@ -11,8 +11,8 @@ Entry points:
 
 * :mod:`lorentz2d.expressions` -- a tiny expression language for factors;
 * :mod:`lorentz2d.jets` -- exact second-order forward-mode derivatives;
-* :mod:`lorentz2d.curvature` -- scalar/tensor curvature of g = Omega * eta,
-  plus an independent finite-difference cross-check;
+* :mod:`lorentz2d.curvature` -- scalar curvature of g = Omega * eta in the
+  field's chart, plus an independent finite-difference cross-check;
 * :mod:`lorentz2d.families` -- flat, one-variable (timelike/spacelike)
   and exponential-type constant-curvature families;
 * :mod:`lorentz2d.charts` -- null coordinates and the compactifying
@@ -50,14 +50,10 @@ from .charts import (
 )
 from .curvature import (
     EinsteinCheck,
-    RicciTensor2,
     einstein_residual,
     fd_ricci_oracle,
     ricci_from_log,
     ricci_from_omega,
-    ricci_from_omega_null,
-    ricci_null,
-    ricci_tensor,
     scalar_from_factor_jet,
 )
 from .errors import (
@@ -120,15 +116,14 @@ __all__ = [
     "LevelSet",
     "Lorentz2dError",
     "MixedChartVariables",
+    "NoValidSamples",
     "NonConstantExponent",
     "NonPositiveFactor",
-    "NoValidSamples",
     "ParseError",
     "Provenance",
     "QuadratureNonConvergence",
     "Rectangle",
     "Region",
-    "RicciTensor2",
     "SampleGrid",
     "SingularDenominator",
     "StencilOutsideDomain",
@@ -156,9 +151,6 @@ __all__ = [
     "report_to_json",
     "ricci_from_log",
     "ricci_from_omega",
-    "ricci_from_omega_null",
-    "ricci_null",
-    "ricci_tensor",
     "sample_grid",
     "scalar_from_factor_jet",
     "spacelike_factor",

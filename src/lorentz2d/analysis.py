@@ -125,6 +125,8 @@ def sample_grid(factor, domain=None, resolution: tuple[int, int] = (50, 50),
     t0, t1, x0, x1 = domain.bbox()
     if not all(math.isfinite(v) for v in (t0, t1, x0, x1)):
         raise ValueError(f"sampling needs a bounded domain, got {domain!r}")
+    if not (math.isfinite(t1 - t0) and math.isfinite(x1 - x0)):
+        raise ValueError(f"the width of {domain!r} overflows a float")
     n_t, n_x = resolution
     if n_t < 1 or n_x < 1:
         raise ValueError(f"resolution must be positive, got {resolution!r}")

@@ -2,9 +2,12 @@
 
 Subcommands:
 
-* ``check``       sample a factor's curvature and compare to a target;
-* ``family``      print a family factor's descriptor (and optionally a grid);
-* ``compactify``  pull a whole-plane factor onto the diamond and check it;
+* ``check``       sample a factor's curvature and compare to a target
+                  (``--out`` writes the JSON report or the CSV grid);
+* ``family``      print a family factor's descriptor (``--out``: CSV grid);
+* ``compactify``  pull a whole-plane factor onto the diamond and check it
+                  there, always on the whole diamond (``--out`` writes the
+                  JSON report, the CSV grid or SVG level sets);
 * ``contour``     extract constant-interval level sets to SVG or CSV.
 
 Exit codes: 0 check passed, 1 check failed, 2 usage/parse/parameter
@@ -91,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "space: curvature checks and diagram data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_subcommand(name, summary, with_family_flag=True):
+    def add_subcommand(name, summary, formats, with_family_flag=True,
+                       with_domain=True):
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         if with_family_flag:
             p.add_argument("--family", choices=FAMILIES)
@@ -111,21 +115,27 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="raw_antiderivative")
         p.add_argument("--target", type=_number,
                        help="target curvature (defaults to the family's R)")
-        p.add_argument("--domain", type=_domain, help="rect:t0,t1,x0,x1 or diamond")
+        if with_domain:
+            p.add_argument("--domain", type=_domain,
+                           help="rect:t0,t1,x0,x1 or diamond")
         p.add_argument("--grid", type=_grid, default=(50, 50),
                        help="NxM cell counts (default 50x50)")
         p.add_argument("--tol", type=_number, default=1e-6,
                        help="pass tolerance (default 1e-6)")
         p.add_argument("--levels", type=_levels, help="comma-separated s^2 levels")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json", "svg"))
+        p.add_argument("--format", choices=formats)
         p.add_argument("--config", help="JSON file with defaults for these flags")
 
-    add_subcommand("check", "compare sampled curvature to a target")
-    add_subcommand("family", "print a family factor descriptor",
+    add_subcommand("check", "compare sampled curvature to a target",
+                   ("json", "csv"))
+    add_subcommand("family", "print a family factor descriptor", ("csv",),
                    with_family_flag=False)
-    add_subcommand("compactify", "check a factor pulled back to the diamond")
-    add_subcommand("contour", "constant-interval level sets of a factor")
+    # compactify always samples the whole diamond
+    add_subcommand("compactify", "check a factor pulled back to the diamond",
+                   ("json", "csv", "svg"), with_domain=False)
+    add_subcommand("contour", "constant-interval level sets of a factor",
+                   ("svg", "csv"))
     return parser
 
 
@@ -217,13 +227,10 @@ def _verify(args: argparse.Namespace, factor, domain):
 def _export_check_output(args: argparse.Namespace, grid, report) -> None:
     if not args.out:
         return
-    fmt = args.format or "json"
-    if fmt == "json":
-        analysis.export(report, "json", args.out)
-    elif fmt == "csv":
+    if args.format == "csv":
         analysis.export(grid, "csv", args.out)
     else:
-        raise _UsageError(f"check cannot write format {fmt!r}")
+        analysis.export(report, "json", args.out)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -260,10 +267,7 @@ def _cmd_contour(args: argparse.Namespace) -> int:
     grid = analysis.sample_grid(factor, domain, args.grid, with_ricci=False)
     sets = analysis.extract_level_sets(grid, args.levels or DEFAULT_LEVELS)
     if args.out:
-        fmt = args.format or "svg"
-        if fmt not in ("svg", "csv"):
-            raise _UsageError(f"contour cannot write format {fmt!r}")
-        analysis.export(sets, fmt, args.out, bounds=domain.bbox())
+        analysis.export(sets, args.format or "svg", args.out, bounds=domain.bbox())
         print(f"wrote {args.out}")
     for ls in sets:
         n_pts = sum(len(p) for p in ls.polylines)

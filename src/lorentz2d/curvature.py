@@ -1,6 +1,6 @@
-"""Scalar and Ricci curvature of conformally flat 2D Lorentzian metrics.
+"""Scalar curvature of conformally flat 2D Lorentzian metrics.
 
-The metric is g = Omega(t,x) * eta with eta = diag(-1, 1).  For a
+The metric is g = Omega * eta with eta = diag(-1, 1).  For a
 positive factor Omega the scalar curvature is
 
     R = (-Omega_t^2 + Omega_x^2 + Omega (Omega_tt - Omega_xx)) / Omega^3
@@ -13,59 +13,52 @@ and in null coordinates u = x + t, v = x - t,
 
     R = -4 e^{-omega} omega_uv.
 
-All derivatives come from second-order jets, so the only error in these
-formulas is float rounding.  A 9-point Richardson finite-difference
-oracle is provided as an independent cross-check; it shares no code with
-the jet path.
+Entry points, by input:
 
-Every ``field`` argument accepts a ``ConformalFactor``-like object with
-a ``jet(a, b)`` method, a callable ``(a, b) -> Jet2``, or an
-``Expression`` over the appropriate chart variables.
+* ``scalar_from_factor_jet(w, chart)`` -- a jet of Omega (floats or arrays);
+* ``ricci_from_omega(field, point)`` -- a field of Omega;
+* ``ricci_from_log(field, point)`` -- a field of omega = log Omega;
+* ``einstein_residual(log_field, point)`` -- Ric = (R/2) g from omega,
+  in the (t, x) chart only;
+* ``fd_ricci_oracle(field, point)`` -- R from values of Omega alone.
+
+The field's chart picks the formula, never the function's name.  A
+``field`` is a ``ConformalFactor`` (its ``chart``: "tx", "compact" or
+"uv"), an ``Expression`` (chart "uv" when it is written in u, v, else
+"tx") or a callable of (t, x) (chart "tx") that returns a ``Jet2``, or
+a float for the oracle.  ``point`` is in the field's chart: (u, v) for
+a null-chart field.
+
+All derivatives come from second-order jets, so the only error in these
+formulas is float rounding.  The finite-difference oracle is an
+independent cross-check; it shares no code with the jet path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import expressions, jets
-from .errors import DomainError, EvaluationError, NonPositiveFactor, StencilOutsideDomain
+from . import expressions, families
+from .errors import EvaluationError, NonPositiveFactor, StencilOutsideDomain
 from .jets import Jet2
 
 Point = tuple[float, float]
 
 
-def _as_jet_fn(field, variables: tuple[str, str]) -> Callable[[float, float], Jet2]:
+def _field(field) -> tuple[Callable[..., Jet2], Callable[..., float], str]:
+    """``(jet, value, chart)`` of a factor, an expression or a callable."""
     if hasattr(field, "jet"):
-        return field.jet
+        return field.jet, field.value, field.chart
     if isinstance(field, expressions.NODES):
-        first, second = variables
-        jet = expressions.compile_expression(field, jets.JET2)
-
-        def from_expression(a: float, b: float) -> Jet2:
-            return jet({
-                first: jets.seed(first, (a, b)),
-                second: jets.seed(second, (a, b)),
-            })
-
-        return from_expression
+        # unchecked functions: a log field may be <= 0
+        factor = families.factor_from_expression(field)
+        return factor.jet_fn, factor.value_fn, factor.chart
     if callable(field):
-        return field
-    raise TypeError(f"cannot evaluate {field!r} as a jet field")
-
-
-def _as_value_fn(field) -> Callable[[float, float], float]:
-    if isinstance(field, expressions.NODES):
-        values = expressions.compile_expression(field)
-        return lambda a, b: values({"t": a, "x": b})
-    if hasattr(field, "value") and callable(field.value):
-        return field.value
-    if callable(field):
-        return field
-    raise TypeError(f"cannot evaluate {field!r} as a value field")
+        return field, field, "tx"
+    raise TypeError(f"cannot evaluate {field!r} as a field")
 
 
 def scalar_from_factor_jet(w: Jet2, chart: str = "tx") -> float:
@@ -85,58 +78,22 @@ def scalar_from_factor_jet(w: Jet2, chart: str = "tx") -> float:
 
 
 def ricci_from_omega(field, point: Point) -> float:
-    """Scalar curvature from the factor Omega itself (standard chart)."""
-    w = _as_jet_fn(field, ("t", "x"))(*point)
+    """Scalar curvature from the factor Omega, in the field's chart."""
+    jet, _, chart = _field(field)
+    w = jet(*point)
     if w.value <= 0.0:
         raise NonPositiveFactor(
             f"conformal factor must be positive, got {w.value!r} at {point!r}")
-    return scalar_from_factor_jet(w, "tx")
+    return scalar_from_factor_jet(w, chart)
 
 
 def ricci_from_log(field, point: Point) -> float:
-    """Scalar curvature from omega = log Omega (standard chart)."""
-    w = _as_jet_fn(field, ("t", "x"))(*point)
+    """Scalar curvature from omega = log Omega, in the field's chart."""
+    jet, _, chart = _field(field)
+    w = jet(*point)
+    if chart == "uv":
+        return -4.0 * w.dtx * math.exp(-w.value)
     return (w.dtt - w.dxx) * math.exp(-w.value)
-
-
-def ricci_null(field, point: Point) -> float:
-    """Scalar curvature from omega expressed in null coordinates (u, v).
-
-    ``point`` is (u, v); the jet slots carry u- and v-partials.
-    """
-    w = _as_jet_fn(field, ("u", "v"))(*point)
-    return -4.0 * w.dtx * math.exp(-w.value)
-
-
-def ricci_from_omega_null(field, point: Point) -> float:
-    """Scalar curvature from the factor Omega given in null coordinates."""
-    w = _as_jet_fn(field, ("u", "v"))(*point)
-    if w.value <= 0.0:
-        raise NonPositiveFactor(
-            f"conformal factor must be positive, got {w.value!r} at {point!r}")
-    return scalar_from_factor_jet(w, "uv")
-
-
-@dataclass(frozen=True)
-class RicciTensor2:
-    """Ricci tensor components in the standard chart.
-
-    For a conformally flat metric the off-diagonal component vanishes
-    identically; it is carried (and asserted against the Einstein
-    condition) rather than silently assumed by callers.
-    """
-
-    component_tt: float
-    component_tx: float
-    component_xx: float
-
-
-def ricci_tensor(log_field, point: Point) -> RicciTensor2:
-    """Ricci tensor from omega = log Omega:
-    diag((omega_xx - omega_tt)/2, (omega_tt - omega_xx)/2)."""
-    w = _as_jet_fn(log_field, ("t", "x"))(*point)
-    half = 0.5 * (w.dxx - w.dtt)
-    return RicciTensor2(component_tt=half, component_tx=0.0, component_xx=-half)
 
 
 class EinsteinCheck(NamedTuple):
@@ -145,54 +102,55 @@ class EinsteinCheck(NamedTuple):
 
 
 def einstein_residual(log_field, point: Point) -> EinsteinCheck:
-    """Check Ric = kappa g with kappa = R/2.
+    """Check Ric = kappa g with kappa = R/2, from omega in the (t, x) chart.
 
-    Returns kappa and the largest componentwise deviation
-    |Ric_ab - kappa g_ab| with g = e^omega eta.
+    Ric = diag((omega_xx - omega_tt)/2, (omega_tt - omega_xx)/2) has no
+    off-diagonal part.  Returns kappa and the largest componentwise
+    deviation |Ric_ab - kappa g_ab| with g = e^omega eta.
     """
-    w = _as_jet_fn(log_field, ("t", "x"))(*point)
-    ric = RicciTensor2(component_tt=0.5 * (w.dxx - w.dtt),
-                       component_tx=0.0,
-                       component_xx=0.5 * (w.dtt - w.dxx))
-    scalar = (w.dtt - w.dxx) * math.exp(-w.value)
-    kappa = 0.5 * scalar
-    g_tt = -math.exp(w.value)
-    g_xx = math.exp(w.value)
-    residual = max(
-        abs(ric.component_tt - kappa * g_tt),
-        abs(ric.component_tx),
-        abs(ric.component_xx - kappa * g_xx),
-    )
+    jet, _, chart = _field(log_field)
+    if chart == "uv":
+        raise ValueError("einstein_residual needs a field in the (t, x) chart")
+    w = jet(*point)
+    ric_tt = 0.5 * (w.dxx - w.dtt)
+    ric_xx = 0.5 * (w.dtt - w.dxx)
+    kappa = 0.5 * ((w.dtt - w.dxx) * math.exp(-w.value))
+    g_xx = math.exp(w.value)  # g_tt = -g_xx
+    residual = max(abs(ric_tt + kappa * g_xx), abs(ric_xx - kappa * g_xx))
     return EinsteinCheck(kappa=kappa, residual=residual)
 
 
 def fd_ricci_oracle(field, point: Point, h: float = 1e-3) -> float:
     """Finite-difference scalar curvature, independent of the jet path.
 
-    Uses a 9-point stencil (centre plus +-h and +-h/2 on each axis) with
-    one Richardson extrapolation step on the central first and second
-    differences, then applies the Omega-based curvature formula.
+    Uses a 9-point stencil (centre plus +-h and +-h/2 along t and x)
+    with one Richardson extrapolation step on the central first and
+    second differences, then applies the Omega-based curvature formula.
+    A null-chart field is sampled at the stencil's images: a step h
+    along t moves (u, v) by (+h, -h), one along x by (+h, +h).
     """
-    value = _as_value_fn(field)
-    t, x = point
+    _, value, chart = _field(field)
+    a, b = point
 
-    def sample(a: float, b: float) -> float:
+    def sample(p: float, q: float) -> float:
         try:
-            return value(a, b)
+            return value(p, q)
         except EvaluationError as err:
             raise StencilOutsideDomain(
-                f"stencil point ({a!r}, {b!r}) failed: {err}") from err
+                f"stencil point ({p!r}, {q!r}) failed: {err}") from err
 
-    f0 = sample(t, x)
+    f0 = sample(a, b)
     if f0 <= 0.0:
         raise NonPositiveFactor(
             f"conformal factor must be positive, got {f0!r} at {point!r}")
 
     def derivatives(axis: int) -> tuple[float, float]:
         def at(offset: float) -> float:
+            if chart == "uv":
+                return sample(a + offset, b - offset if axis == 0 else b + offset)
             if axis == 0:
-                return sample(t + offset, x)
-            return sample(t, x + offset)
+                return sample(a + offset, b)
+            return sample(a, b + offset)
 
         fp, fm = at(h), at(-h)
         fp2, fm2 = at(h / 2), at(-h / 2)

@@ -106,6 +106,13 @@ def test_unbounded_domain_rejected():
         sample_grid(flat_factor("1", "1"))
 
 
+def test_overflowing_domain_width_rejected():
+    # every bound is finite but t1 - t0 is inf: the cell centres would not be
+    wide = Rectangle(-1e308, 1e308, -1e308, 1e308)
+    with pytest.raises(ValueError, match="overflows"):
+        sample_grid(factor_from_expression("1"), wide, resolution=(3, 3))
+
+
 def test_bad_resolution_rejected():
     with pytest.raises(ValueError):
         sample_grid(flat_factor("1", "1"), BOX, resolution=(0, 5))

@@ -271,6 +271,47 @@ def test_help_exits_zero(capsys):
     assert "lorentz2d" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--omega", "1", "--target", "0", "--grid", "4x4", "--format", "svg"],
+    ["family", "flat", "--phi", "1", "--psi", "1", "--format", "svg"],
+    ["family", "flat", "--phi", "1", "--psi", "1", "--format", "json"],
+    ["contour", "--omega", "1", "--grid", "4x4", "--format", "json"],
+])
+def test_formats_a_subcommand_cannot_write_exit_2_before_any_work(tmp_path, capsys,
+                                                                  argv):
+    # check used to print its whole report, PASS included, and family its
+    # descriptor before refusing the format
+    out = tmp_path / "x.out"
+    rc = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "invalid choice" in captured.err
+    assert not out.exists()
+
+
+def test_overflowing_rectangle_width_exits_2(capsys):
+    # t1 - t0 is inf, so no cell centre was finite and this exited 3 with
+    # "no cell centres ... fall inside"
+    rc = main(["check", "--omega", "1", "--target", "0", "--grid", "3x3",
+               "--domain=rect:-1e308,1e308,-1e308,1e308"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "overflows" in captured.err
+
+
+def test_compactify_takes_no_domain(tmp_path, capsys):
+    # compactify always samples the diamond; a --domain used to be ignored
+    argv = ["compactify", "--omega", "1", "--target", "0", "--grid", "4x4"]
+    assert main([*argv, "--domain", "rect:0,1,0,1"]) == 2
+    assert "unrecognized arguments: --domain" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"domain": "rect:0,1,0,1"}))
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert "unrecognized arguments: --domain" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # numeric/domain failures (exit 3)
 

@@ -1,4 +1,4 @@
-"""Scalar/Ricci curvature formulas, Einstein check, and the FD oracle."""
+"""Scalar curvature formulas in either chart, Einstein check, and the FD oracle."""
 
 import math
 
@@ -8,18 +8,15 @@ from hypothesis import strategies as st
 
 from lorentz2d.curvature import (
     EinsteinCheck,
-    RicciTensor2,
     einstein_residual,
     fd_ricci_oracle,
     ricci_from_log,
     ricci_from_omega,
-    ricci_from_omega_null,
-    ricci_null,
-    ricci_tensor,
     scalar_from_factor_jet,
 )
 from lorentz2d.errors import NonPositiveFactor, StencilOutsideDomain
 from lorentz2d.expressions import parse, substitute
+from lorentz2d.families import factor_from_expression
 from lorentz2d.jets import apply_elementary, mul, seed
 
 
@@ -44,7 +41,7 @@ def test_nonpositive_factor_rejected():
     with pytest.raises(NonPositiveFactor):
         ricci_from_omega(parse("x - 10"), (0.0, 0.0))
     with pytest.raises(NonPositiveFactor):
-        ricci_from_omega_null(parse("u - 10"), (0.0, 0.0))
+        ricci_from_omega(parse("u - 10"), (0.0, 0.0))
 
 
 def test_scalar_from_factor_jet_compact_alias():
@@ -77,23 +74,40 @@ def test_log_form_constant_positive_curvature():
 
 
 # ---------------------------------------------------------------------------
-# Null-coordinate forms
+# Null-chart fields: a field written in u, v gets the null-chart formula
 
 def test_null_log_form_constant_curvature():
     assert math.isclose(
-        ricci_null(parse("-2*log(u - 0.25*v + 1)"), (0.2, 0.1)),
+        ricci_from_log(parse("-2*log(u - 0.25*v + 1)"), (0.2, 0.1)),
         2.0, rel_tol=1e-12)
 
 
 def test_null_log_form_single_variable_flat():
-    assert ricci_null(parse("exp(u)"), (0.4, -0.2)) == 0.0
-    assert ricci_null(parse("exp(v)"), (0.4, -0.2)) == 0.0
+    assert ricci_from_log(parse("exp(u)"), (0.4, -0.2)) == 0.0
+    assert ricci_from_log(parse("exp(v)"), (0.4, -0.2)) == 0.0
 
 
 def test_null_factor_form_constant_curvature():
     assert math.isclose(
-        ricci_from_omega_null(parse("(u - 0.25*v + 1)^(-2)"), (0.2, 0.1)),
+        ricci_from_omega(parse("(u - 0.25*v + 1)^(-2)"), (0.2, 0.1)),
         2.0, rel_tol=1e-12)
+
+
+README_NULL_FACTOR = "exp(u+v) * (exp(u) - (1/4)*exp(v))^(-2)"
+
+
+@pytest.mark.parametrize("field", [parse(README_NULL_FACTOR),
+                                   factor_from_expression(README_NULL_FACTOR)],
+                         ids=["expression", "factor"])
+def test_null_chart_factor_gets_its_own_curvature(field):
+    # the README's R = 2 factor written in u, v, at (u, v) = (0.3, -0.2)
+    assert abs(ricci_from_omega(field, (0.3, -0.2)) - 2.0) <= 1e-12
+    assert abs(fd_ricci_oracle(field, (0.3, -0.2), h=1e-3) - 2.0) <= 1e-6
+
+
+def test_einstein_residual_refuses_a_null_chart_field():
+    with pytest.raises(ValueError):
+        einstein_residual(parse("-2*log(u - 0.25*v + 1)"), (0.2, 0.1))
 
 
 def test_null_chart_agrees_with_standard_chart():
@@ -103,29 +117,71 @@ def test_null_chart_agrees_with_standard_chart():
     t0, x0 = 0.4, -0.3
     u0, v0 = x0 + t0, x0 - t0
     r_std = ricci_from_log(omega_tx, (t0, x0))
-    r_null = ricci_null(omega_null, (u0, v0))
+    r_null = ricci_from_log(omega_null, (u0, v0))
     assert abs(r_null - r_std) <= 1e-10 * max(1.0, abs(r_std))
 
 
+_UNIT = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+def _null_twin(expression):
+    """``expression`` in (t, x) rewritten in u, v."""
+    return substitute(expression, {"t": parse("(u - v)/2"), "x": parse("(u + v)/2")})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_UNIT, _UNIT, _UNIT, _UNIT, _UNIT)
+def test_curvature_does_not_depend_on_the_chart(a, b, c, t, x):
+    log_tx = parse(f"{a!r}*t^2 + {b!r}*x^2 + {c!r}*t*x")
+    factor_tx = parse(f"exp({a!r}*t^2 + {b!r}*x^2 + {c!r}*t*x)")
+    point, twin_point = (t, x), (x + t, x - t)
+
+    r_tx = ricci_from_omega(factor_tx, point)
+    r_twin = ricci_from_omega(_null_twin(factor_tx), twin_point)
+    assert abs(r_twin - r_tx) <= 1e-10 * max(1.0, abs(r_tx))
+    assert abs(fd_ricci_oracle(_null_twin(factor_tx), twin_point, h=1e-3)
+               - r_tx) <= 1e-5
+
+    r_log = ricci_from_log(log_tx, point)
+    r_log_twin = ricci_from_log(_null_twin(log_tx), twin_point)
+    assert abs(r_log_twin - r_log) <= 1e-10 * max(1.0, abs(r_log))
+
+
 # ---------------------------------------------------------------------------
-# Ricci tensor and the Einstein condition
+# The Einstein condition
 
-def test_ricci_tensor_flat():
-    assert ricci_tensor(parse("0"), (0.1, 0.9)) == RicciTensor2(0.0, 0.0, 0.0)
+def _tensor_built_einstein(log_field, point):
+    """Ric = kappa g checked through the three Ricci components one by
+    one, as the deleted tensor path did; the reference for bitwise tests."""
+    w = log_field(*point)
+    component_tt = 0.5 * (w.dxx - w.dtt)
+    component_tx = 0.0
+    component_xx = 0.5 * (w.dtt - w.dxx)
+    scalar = (w.dtt - w.dxx) * math.exp(-w.value)
+    kappa = 0.5 * scalar
+    g_tt = -math.exp(w.value)
+    g_xx = math.exp(w.value)
+    residual = max(abs(component_tt - kappa * g_tt), abs(component_tx),
+                   abs(component_xx - kappa * g_xx))
+    return EinsteinCheck(kappa=kappa, residual=residual)
 
 
-def test_ricci_tensor_flat_wave_exact_zero():
-    ten = ricci_tensor(parse("sin(x + t)"), (0.3, -0.8))
-    assert ten.component_tt == 0.0
-    assert ten.component_xx == 0.0
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+       st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+       st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
+       st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+       st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+def test_einstein_residual_is_bitwise_the_tensor_built_formula(a, b, c, t, x):
+    def log_field(tt, xx):
+        T = seed("t", (tt, xx))
+        X = seed("x", (tt, xx))
+        return (a * apply_elementary("sin", T) * apply_elementary("cos", X)
+                + b * mul(T, X) + c)
 
-
-def test_ricci_tensor_constant_curvature():
-    ten = ricci_tensor(parse("-2*log(cos(t))"), (0.3, 0.0))
-    sec2 = 1.0 / math.cos(0.3) ** 2
-    assert math.isclose(ten.component_tt, -sec2, rel_tol=1e-13)
-    assert ten.component_tx == 0.0
-    assert ten.component_xx == -ten.component_tt
+    check = einstein_residual(log_field, (t, x))
+    reference = _tensor_built_einstein(log_field, (t, x))
+    assert [v.hex() for v in check] == [v.hex() for v in reference]
 
 
 def test_einstein_flat_exact():
