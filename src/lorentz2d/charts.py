@@ -10,7 +10,8 @@ U = tan(u~/2) and U' = (1 + U^2)/2, the compactified factor picks up the
 Jacobian U'V' = (1/4) sec^2(u~/2) sec^2(v~/2) and keeps the same scalar
 curvature, since R is invariant under a change of coordinates combined
 with the matching conformal rescaling.  The map is diagonal between the
-null charts, so the jet is assembled there, as a Liouville factor's is.
+null charts, so the jet is assembled there, as a Liouville factor's is;
+a factor written in (u, v) enters it without a change of chart.
 
 Domains are open point sets with a bounding box; membership uses strict
 inequalities so that boundary points (where compact factors blow up)
@@ -38,6 +39,9 @@ NULL_COORDINATES = {"u": parse("x + t"), "v": parse("x - t")}
 _FROM_DIAMOND = {name: substitute(parse(f"(tan(u/2) {op} tan(v/2))/2"), NULL_COORDINATES)
                  for name, op in (("t", "-"), ("x", "+"))}
 _JACOBIAN = substitute(parse("0.25*sec(u/2)^2*sec(v/2)^2"), NULL_COORDINATES)
+# (u, v) as formulas in the diamond chart
+_NULL_FROM_DIAMOND = {name: substitute(parse(f"tan({name}/2)"), NULL_COORDINATES)
+                      for name in ("u", "v")}
 
 
 def _half_angle(s):
@@ -147,25 +151,28 @@ def compactify(factor) -> "ConformalFactor":
     """Pull a whole-plane factor back to the diamond chart, times the
     Jacobian U'V' = (1/4) sec^2(u~/2) sec^2(v~/2).
 
-    Requires ``factor.domain`` to be the full (t, x) plane; factors on a
-    strip (e.g. a sec^2 branch) have no single-patch compactification
-    here and raise ``DomainError``.
+    The factor may be in the standard chart or the null chart; a null-chart
+    factor is evaluated at (U, V) directly.  Requires ``factor.domain`` to
+    be the full plane; factors on a strip (e.g. a sec^2 branch) have no
+    single-patch compactification here and raise ``DomainError``.
     """
     from .families import ConformalFactor, Provenance
 
-    if factor.chart != "tx":
+    if factor.chart not in ("tx", "uv"):
         raise ValueError(
-            f"compactify expects a standard-chart factor, got chart {factor.chart!r}")
+            f"compactify expects a standard- or null-chart factor, got chart {factor.chart!r}")
     if not (isinstance(factor.domain, Rectangle) and factor.domain.is_full_plane):
         raise DomainError(
             "compactify requires a factor defined on the whole plane; "
             f"this factor lives on {factor.domain!r}")
+    null = factor.chart == "uv"
 
     def value_fn(tt, xx, status=None):
         su, sv = to_null(tt, xx)
         u, du = _half_angle(su)
         v, dv = _half_angle(sv)
-        return factor.value(*from_null(u, v), status) * (du * dv)
+        at = (u, v) if null else from_null(u, v)
+        return factor.value(*at, status) * (du * dv)
 
     def jet_fn(tt, xx, status=None):
         # Omega~ = Omega(U(u~), V(v~)) U' V' in the null charts, where
@@ -173,7 +180,10 @@ def compactify(factor) -> "ConformalFactor":
         su, sv = to_null(tt, xx)
         u, du = _half_angle(su)
         v, dv = _half_angle(sv)
-        w = jets.to_null(factor.jet(*from_null(u, v), status))
+        if null:
+            w = factor.jet(u, v, status)
+        else:
+            w = jets.to_null(factor.jet(*from_null(u, v), status))
         ddu, ddv = u * du, v * dv
         pulled = jets.compose_null(w, (u, du, ddu), (v, dv, ddv))
         jac = jets.null_product((du, ddu, du * du + u * ddu),
@@ -182,7 +192,7 @@ def compactify(factor) -> "ConformalFactor":
 
     expr = None
     if factor.expression is not None:
-        inner = substitute(factor.expression, _FROM_DIAMOND)
+        inner = substitute(factor.expression, _NULL_FROM_DIAMOND if null else _FROM_DIAMOND)
         expr = _JACOBIAN if inner == Constant(1.0) else Binary("mul", inner, _JACOBIAN)
 
     return ConformalFactor(

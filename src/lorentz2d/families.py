@@ -32,6 +32,15 @@ insensitive to quadrature error in F and G: a value-only perturbation of
 D is pointwise equivalent to a shift of C, which stays inside the family
 with the same R.
 
+The separable families take univariate jets too.  A flat factor's jet is
+the same assembly with D = 1: the Taylor jets of phi at u and psi at v,
+their null-chart product, and the pullback.  A one-variable factor's jet
+is the Taylor jet of its formula in t (or x), placed in the value and
+t-slots (or x-slots); every other slot is 0.  Their printed formulas give
+the values.  Their jets hold the same bits as the formulas' six-slot jets
+in (t, x), so R does too, except in dtx, which is summed in another order,
+and where a product of slots underflows.
+
 ``factor_from_expression`` wraps an arbitrary formula (standard or null
 chart) as a factor so the same grid and report machinery applies to it.
 
@@ -41,7 +50,8 @@ positive, ``SingularDenominator`` inside the epsilon band around D = 0,
 and ``DomainError`` outside function domains.  Given arrays of cell
 coordinates they evaluate every cell at once instead: a failed cell is
 NaN, and a singular one is also marked ``SINGULAR`` in the optional
-``status`` array.
+``status`` array.  Every slot they return is then a fresh array that the
+caller may write to.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -105,7 +116,11 @@ class ConformalFactor:
 
     ``value_fn`` and ``jet_fn`` take (a, b, status=None) and follow the
     module rules for floats and arrays; ``value`` and ``jet`` add the
-    positivity check.  Neither checks points against ``domain``.
+    positivity check.  Neither checks points against ``domain``.  On
+    arrays ``value`` and ``jet`` return fresh, writable arrays of the
+    cells' shape, which share memory with neither ``a``, ``b`` nor one
+    another, while ``value_fn`` and ``jet_fn`` may return their inputs,
+    views or floats.
     """
 
     chart: str
@@ -118,8 +133,7 @@ class ConformalFactor:
 
     def value(self, a, b, status=None):
         if isinstance(a, np.ndarray):
-            w = _on_cells(self.value_fn, a, b, status, math.nan)
-            return jets.poison(w, ~(w > 0.0))
+            return _on_cells(self.value_fn, a, b, status, math.nan)
         w = self.value_fn(a, b)
         if w <= 0.0:
             raise NonPositiveFactor(
@@ -128,8 +142,7 @@ class ConformalFactor:
 
     def jet(self, a, b, status=None):
         if isinstance(a, np.ndarray):
-            w = _on_cells(self.jet_fn, a, b, status, Jet2(math.nan))
-            return jets.poison(w, ~(w.value > 0.0))
+            return _on_cells(self.jet_fn, a, b, status, Jet2(math.nan))
         w = self.jet_fn(a, b)
         if w.value <= 0.0:
             raise NonPositiveFactor(
@@ -141,7 +154,8 @@ class ConformalFactor:
 
 
 def _on_cells(fn, a, b, status, failed):
-    """``fn(a, b, status)`` on arrays of cells, broadcast to their shape."""
+    """``fn(a, b, status)`` on arrays of cells, poisoned wherever the factor
+    is not positive, with every slot a fresh array of their shape."""
     try:
         # overflow and invalid results are poisoned cells, not warnings
         with np.errstate(all="ignore"):
@@ -150,7 +164,29 @@ def _on_cells(fn, a, b, status, failed):
         # On arrays only a part that is the same for every cell, such as
         # log(-1), is evaluated on floats and can raise: every cell fails.
         w = failed
-    return jets.broadcast(w, a.shape)
+    bad = ~(np.broadcast_to(w.value if isinstance(w, Jet2) else w, a.shape) > 0.0)
+    if bad.any():
+        return jets.poison(w, bad)   # np.where builds every slot afresh
+    return _owned(w, a, b)
+
+
+def _owned(w, a, b):
+    """``w`` with every slot an array of a's shape that shares memory with
+    neither input nor another slot.  A slot that owns its memory, and is
+    neither an input nor an earlier slot, is kept; floats, views and those
+    are copied."""
+    seen = {id(a), id(b)}
+
+    def own(s):
+        if (isinstance(s, np.ndarray) and s.base is None and s.shape == a.shape
+                and s.flags.writeable and id(s) not in seen):
+            seen.add(id(s))
+            return s
+        return np.full(a.shape, s, dtype=float)
+
+    if isinstance(w, Jet2):
+        return Jet2(*(own(s) for s in (w.value, w.dt, w.dx, w.dtt, w.dtx, w.dxx)))
+    return own(w)
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +244,30 @@ def _single_variable(e: Expression, role: str) -> str | None:
     return next(iter(names)) if names else None
 
 
+def _taylor(e: Expression, variable: str | None):
+    """s -> the univariate Taylor jet (f, f', f'') of ``e`` at s, ``e`` a
+    formula in ``variable`` alone; a constant gives a float triple."""
+    jet = compile_expression(e, jets.TAYLOR)
+    name = variable or "l"
+    return lambda s: jet({name: (jets.as_slot(s), 1.0, 0.0)})
+
+
 def _expression_factor(expr: Expression, chart: str, domain, provenance,
-                       target: float | None) -> ConformalFactor:
+                       target: float | None, jet_fn=None) -> ConformalFactor:
+    """A factor whose values come from ``expr``; so does its jet, unless
+    the family passes a ``jet_fn`` of its own."""
     first, second = ("u", "v") if chart == "uv" else ("t", "x")
     values = compile_expression(expr)
-    jet = compile_expression(expr, jets.JET2)
 
     def value_fn(a, b, status=None):
         return values({first: a, second: b})
 
-    def jet_fn(a, b, status=None):
-        return jet({first: jets.seed(first, (a, b)),
-                    second: jets.seed(second, (a, b))})
+    if jet_fn is None:
+        jet = compile_expression(expr, jets.JET2)
+
+        def jet_fn(a, b, status=None):
+            return jet({first: jets.seed(first, (a, b)),
+                        second: jets.seed(second, (a, b))})
 
     return ConformalFactor(chart=chart, domain=domain, provenance=provenance,
                            target_curvature=target, expression=expr,
@@ -244,8 +292,14 @@ def flat_factor(phi, psi, domain=None) -> ConformalFactor:
     right = substitute(psi, {psi_var: v_expr}) if psi_var else psi
     expr = _mul(left, right)
     provenance = Provenance("flat", {"phi": unparse(phi), "psi": unparse(psi)})
+    phi_jet, psi_jet = _taylor(phi, phi_var), _taylor(psi, psi_var)
+
+    def jet_fn(t, x, status=None):
+        # the Liouville assembly with D = 1
+        return jets.from_null(jets.null_product(phi_jet(x + t), psi_jet(x - t)))
+
     return _expression_factor(expr, "tx", domain or charts.full_plane(),
-                              provenance, 0.0)
+                              provenance, 0.0, jet_fn)
 
 
 def _one_variable_factor(sep: float, shift: float, target: float,
@@ -273,8 +327,17 @@ def _one_variable_factor(sep: float, shift: float, target: float,
             domain = charts.Rectangle(-math.inf, math.inf, lo, hi)
     else:
         domain = charts.full_plane()
+    taylor = _taylor(expr, coordinate)
+    if coordinate == "t":
+        def jet_fn(t, x, status=None):
+            f0, f1, f2 = taylor(t)
+            return Jet2(f0, f1, 0.0, f2, 0.0, 0.0)
+    else:
+        def jet_fn(t, x, status=None):
+            f0, f1, f2 = taylor(x)
+            return Jet2(f0, 0.0, f1, 0.0, 0.0, f2)
     return _expression_factor(expr, "tx", domain,
-                              Provenance(family, params), target)
+                              Provenance(family, params), target, jet_fn)
 
 
 def timelike_factor(c1: float, c2: float, target: float) -> ConformalFactor:
@@ -371,7 +434,9 @@ class _Side(NamedTuple):
 class _Table:
     """Both sides' panels, left to right, as read by ``Antiderivative``.
 
-    Never changed once built: a longer table replaces it whole."""
+    Never changed once built: a longer table replaces it whole.  Its
+    numpy columns are built by the first array read, so a table that only
+    floats read, or that a longer one replaces first, never builds them."""
 
     def __init__(self, reference: float, left: _Side, right: _Side):
         self.reference, self.left, self.right = reference, left, right
@@ -379,9 +444,12 @@ class _Table:
         self.starts = [row[0] for row in self.rows]   # a float's row by bisection
         self.lo = left.edge
         self.hi = right.edge if right.panels else -math.inf
+
+    @cached_property
+    def columns(self):
+        """(row starts, then one array per field of a row), for ``read``."""
         cols = [np.array(c, dtype=float) for c in zip(*self.rows)] or [np.empty(0)] * 7
-        self.lows, self.inner, self.base, self.mid, self.inv_half, self.first = cols[:6]
-        self.rest = cols[6].reshape(len(self.rows), _CHEB_N - 1)
+        return (*cols[:6], cols[6].reshape(len(self.rows), _CHEB_N - 1))
 
     def covers(self, s: float) -> bool:
         # an abscissa >= reference is read from a right panel, so that
@@ -398,9 +466,9 @@ class _Table:
         ok = np.where(s < self.reference, s >= self.lo, s <= self.hi)
         if ok.any():
             s = s[ok]
-            i = np.searchsorted(self.lows, s, "right") - 1
-            row = (None, self.inner[i], self.base[i], self.mid[i], self.inv_half[i],
-                   self.first[i], self.rest[i].T)
+            lows, inner, base, mid, inv_half, first, rest = self.columns
+            i = np.searchsorted(lows, s, "right") - 1
+            row = (None, inner[i], base[i], mid[i], inv_half[i], first[i], rest[i].T)
             out[ok] = _panel_value(row, s)
         return out
 

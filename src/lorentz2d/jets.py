@@ -114,14 +114,6 @@ def poison(w, cells):
     return np.where(cells, np.nan, w)
 
 
-def broadcast(w, shape):
-    """``w`` (a value or a Jet2) with every slot an array of ``shape``;
-    a constant field evaluates to floats."""
-    if isinstance(w, Jet2):
-        return Jet2(*(np.broadcast_to(s, shape) for s in _slots(w)))
-    return np.broadcast_to(w, shape)
-
-
 _NON_FINITE = "non-finite jet component (overflow or indeterminate form)"
 
 

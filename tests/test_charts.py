@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentz2d import jets
+from lorentz2d.analysis import sample_grid
 from lorentz2d.charts import (
     Diamond,
     Rectangle,
@@ -199,9 +200,34 @@ def test_compactify_rejects_strip_domain():
 
 def test_compactify_rejects_other_charts():
     with pytest.raises(ValueError):
-        compactify(factor_from_expression("(u - 0.25*v + 1)^(-2)"))
-    with pytest.raises(ValueError):
         compactify(compactify(flat_factor("1", "1")))
+
+
+def test_compactify_null_chart_factor_matches_its_standard_chart_twin():
+    # the README's R = 2 factor in u, v is evaluated at (U, V) directly;
+    # on the lattice it must agree with the same factor written in t, x
+    null = compactify(factor_from_expression(
+        "exp(u+v) * (exp(u) - (1/4)*exp(v))^(-2)", 2.0))
+    twin = compactify(factor_from_expression(
+        "exp(2*x) * (exp(x+t) - (1/4)*exp(x-t))^(-2)", 2.0))
+    assert null.chart == "compact" and null.domain == Diamond(math.pi)
+    assert unparse(null.expression) == (
+        "exp(tan((x + t)/2) + tan((x - t)/2))*(exp(tan((x + t)/2)) - "
+        "1/4*exp(tan((x - t)/2)))^(-2)*(0.25*sec((x + t)/2)^2*sec((x - t)/2)^2)")
+    got, want = (sample_grid(f, None, (50, 50)) for f in (null, twin))
+    np.testing.assert_array_equal(got.status, want.status)
+    valid = want.status == VALID
+    assert valid.sum() > 1000
+    np.testing.assert_allclose(got.omega[valid], want.omega[valid], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.s2[valid], want.s2[valid], rtol=1e-12, atol=0)
+    # values alone, as diagrams sample them, and as the jet's value slot
+    values = sample_grid(null, None, (50, 50), with_ricci=False)
+    np.testing.assert_array_equal(values.status, want.status)
+    assert values.omega[valid].tobytes() == got.omega[valid].tobytes()
+    assert null.value(0.3, -0.2) == null.jet(0.3, -0.2).value
+    # criterion 04's bound on R in the identity checks' window
+    window = valid & (want.omega >= 1e-3) & (want.omega <= 1e6)
+    assert np.max(np.abs(got.ricci[window] - 2.0)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

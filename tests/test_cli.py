@@ -115,6 +115,16 @@ def test_compactify_flat_passes(capsys):
     assert "PASS" in out
 
 
+def test_compactify_null_chart_factor_passes(capsys):
+    # the README's R = 2 factor written in u, v, as its (t, x) twin passes
+    rc = main(["compactify", "--omega", "exp(u+v) * (exp(u) - (1/4)*exp(v))^(-2)",
+               "--target", "2", "--grid", "8x8"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "factor: exp(tan((x + t)/2) + tan((x - t)/2))*" in out
+    assert "PASS" in out
+
+
 def test_compactify_strip_factor_is_domain_failure(capsys):
     rc = main(["compactify", "--family", "timelike", "--c1", "-4", "--R", "2"])
     err = capsys.readouterr().err
