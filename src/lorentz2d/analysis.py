@@ -4,15 +4,24 @@ A ``SampleGrid`` evaluates a factor at cell centres of a regular lattice
 over a domain's bounding box.  Cells outside the domain are marked and
 excluded from all counts; cells inside are valid, singular (denominator
 epsilon band) or domain errors (poles, non-positive factor, overflow,
-quadrature failure).  Sampling walks the lattice in row-major blocks of
-``_BLOCK_CELLS`` cells and evaluates each block array-at-a-time; every
-cell gets the status, value and curvature that evaluating it alone with
-floats would give (up to the last bits of numpy's transcendental
-functions), and no output depends on the block size.  A block is large
-enough to spread numpy's fixed cost per call over many cells, and small
-enough that its intermediate arrays stay in cache and bound the peak
-memory whatever the lattice size.  Sampling is deterministic: two runs
-with the same inputs produce bitwise-identical arrays.
+quadrature failure).  Sampling walks the lattice in bands of whole rows,
+about ``_BLOCK_CELLS`` cells each, and evaluates each band
+array-at-a-time.  A band's columns are clipped to the span of its cells
+that lie inside both the domain and the factor's domain.  When every
+cell of that span does, the band is evaluated once on broadcast
+coordinates, a column of t against a row of x, so that a formula in one
+coordinate (a sech^2 in x, an e^{phi} in u alone after the pullback) is
+evaluated once per row or column instead of once per cell; otherwise
+its evaluable cells are gathered into flat arrays.  Every cell gets the
+status, value and curvature that evaluating it alone with floats would
+give (up to the last bits of numpy's transcendental functions), and no
+output depends on the band size or on which of the two ways a band
+took.  A band is large enough to spread numpy's fixed cost per call
+over many cells, and small enough that its intermediate arrays stay in
+cache and bound the peak memory whatever the number of rows (a row of
+more than ``_BLOCK_CELLS`` cells is a band of its own).  Sampling is
+deterministic: two runs with the same inputs produce bitwise-identical
+arrays.
 
 ``constancy_report`` aggregates the curvature deviation from a target
 constant.  ``extract_level_sets`` runs marching squares on the interval
@@ -57,8 +66,10 @@ from .errors import (
     NoValidSamples,
 )
 
-# Lattice cells evaluated per array operation.  A Jet2 op makes about 40
-# numpy calls, whose fixed cost at 1024 cells was about 40% of a jet
+# Lattice cells per band, the cells evaluated per array operation: a band
+# holds max(1, _BLOCK_CELLS // n_x) whole rows.  (The figures below were
+# measured on row-major blocks of this many cells.)  A Jet2 op makes about
+# 40 numpy calls, whose fixed cost at 1024 cells was about 40% of a jet
 # sample.  Against 1024 (benchmark grids, one core of a 2-vCPU VM), the
 # time levels off from 4096 cells on: jets 0.46-0.57x, values 0.45-0.54x
 # over three sweeps, and larger blocks gain a few percent at most.  The
@@ -140,36 +151,44 @@ def sample_grid(factor, domain=None, resolution: tuple[int, int] = (50, 50),
     ricci = np.full((n_t, n_x), np.nan)
     s2 = np.full((n_t, n_x), np.nan)
     status = np.full((n_t, n_x), OUTSIDE, dtype=np.int8)
-    # flat views: a block is a run of row-major cell indices
-    omega_c, ricci_c, s2_c, status_c = (arr.reshape(-1)
-                                        for arr in (omega, ricci, s2, status))
 
     chart = factor.chart
     sampled = 0
+    rows = max(1, _BLOCK_CELLS // n_x)
     # overflow and invalid results are poisoned (NaN) cells, not warnings
     with np.errstate(all="ignore"):
-        for start in range(0, n_t * n_x, _BLOCK_CELLS):
-            cells = np.arange(start, min(start + _BLOCK_CELLS, n_t * n_x))
-            a, b = ts[cells // n_x], xs[cells % n_x]
-            inside = domain.contains(a, b)
-            cells, a, b = cells[inside], a[inside], b[inside]
-            sampled += cells.size
-            in_factor = factor.domain.contains(a, b)
-            status_c[cells[~in_factor]] = DOMAIN_ERROR
-            cells, a, b = cells[in_factor], a[in_factor], b[in_factor]
-            if cells.size == 0:
+        for i0 in range(0, n_t, rows):
+            band = slice(i0, min(i0 + rows, n_t))
+            t, x = ts[band, None], xs[None, :]
+            inside = domain.contains(t, x)
+            sampled += np.count_nonzero(inside)
+            ok = inside & factor.domain.contains(t, x)
+            status[band][inside & ~ok] = DOMAIN_ERROR
+            # the band's evaluable cells lie in the columns [j0, j1)
+            cols = np.flatnonzero(ok.any(axis=0))
+            if cols.size == 0:
                 continue
-            code = np.full(cells.size, VALID, dtype=np.int8)
+            j0, j1 = int(cols[0]), int(cols[-1]) + 1
+            ok = ok[:, j0:j1]
+            if ok.all():
+                # a formula in one coordinate is evaluated on that coordinate
+                cells = (band, slice(j0, j1))
+                a, b = t, xs[None, j0:j1]
+            else:
+                rr, cc = np.nonzero(ok)
+                cells = (rr + i0, cc + j0)
+                a, b = ts[cells[0]], xs[cells[1]]
+            code = np.full(np.broadcast_shapes(a.shape, b.shape), VALID, dtype=np.int8)
             if with_ricci:
                 w = factor.jet(a, b, code)
                 om = w.value
-                ricci_c[cells] = scalar_from_factor_jet(w, chart)
+                ricci[cells] = scalar_from_factor_jet(w, chart)
             else:
                 om = factor.value(a, b, code)
             code[np.isnan(om) & (code == VALID)] = DOMAIN_ERROR
-            omega_c[cells] = om
-            s2_c[cells] = interval_from_omega(om, a, b, chart)
-            status_c[cells] = code
+            omega[cells] = om
+            s2[cells] = interval_from_omega(om, a, b, chart)
+            status[cells] = code
 
     if sampled == 0:
         raise EmptyDomain(

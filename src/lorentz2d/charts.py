@@ -16,7 +16,8 @@ a factor written in (u, v) enters it without a change of chart.
 Domains are open point sets with a bounding box; membership uses strict
 inequalities so that boundary points (where compact factors blow up)
 are never sampled as interior.  ``contains`` takes floats or arrays of
-cell centres (then it returns a boolean array).
+cell centres that broadcast against each other (then it returns a
+boolean array of their broadcast shape).
 """
 
 from __future__ import annotations
@@ -102,15 +103,17 @@ class Diamond:
 class Region:
     """Open set given by a membership predicate plus a bounding box.
 
-    The predicate takes one point; arrays are tested point by point.
+    The predicate takes one point; arrays are broadcast against each
+    other and tested point by point.
     """
 
     predicate: Callable[[float, float], bool]
     bounds: tuple[float, float, float, float]
 
     def contains(self, t, x):
-        if isinstance(t, np.ndarray):
-            return np.fromiter(map(self.predicate, t.tolist(), x.tolist()),
+        if isinstance(t, np.ndarray) or isinstance(x, np.ndarray):
+            t, x = np.broadcast_arrays(t, x)
+            return np.fromiter(map(self.predicate, t.ravel().tolist(), x.ravel().tolist()),
                                dtype=bool, count=t.size).reshape(t.shape)
         return self.predicate(t, x)
 
@@ -166,13 +169,16 @@ def compactify(factor) -> "ConformalFactor":
             "compactify requires a factor defined on the whole plane; "
             f"this factor lives on {factor.domain!r}")
     null = factor.chart == "uv"
+    # the inner factor's own functions, unchecked: the Jacobian U'V' is
+    # positive, so the compact factor's positivity check covers the inner's
+    inner_value, inner_jet = factor.value_fn, factor.jet_fn
 
     def value_fn(tt, xx, status=None):
         su, sv = to_null(tt, xx)
         u, du = _half_angle(su)
         v, dv = _half_angle(sv)
         at = (u, v) if null else from_null(u, v)
-        return factor.value(*at, status) * (du * dv)
+        return inner_value(*at, status) * (du * dv)
 
     def jet_fn(tt, xx, status=None):
         # Omega~ = Omega(U(u~), V(v~)) U' V' in the null charts, where
@@ -181,9 +187,9 @@ def compactify(factor) -> "ConformalFactor":
         u, du = _half_angle(su)
         v, dv = _half_angle(sv)
         if null:
-            w = factor.jet(u, v, status)
+            w = inner_jet(u, v, status)
         else:
-            w = jets.to_null(factor.jet(*from_null(u, v), status))
+            w = jets.to_null(inner_jet(*from_null(u, v), status))
         ddu, ddv = u * du, v * dv
         pulled = jets.compose_null(w, (u, du, ddu), (v, dv, ddv))
         jac = jets.null_product((du, ddu, du * du + u * ddu),

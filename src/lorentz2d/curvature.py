@@ -74,7 +74,9 @@ def scalar_from_factor_jet(w: Jet2, chart: str = "tx") -> float:
         raise ZeroDivisionError("float division by zero")
     if chart == "uv":
         return -4.0 * (w.value * w.dtx - w.dt * w.dx) / cube
-    return (-w.dt * w.dt + w.dx * w.dx + w.value * (w.dtt - w.dxx)) / cube
+    # no negated slot: on a failed (all-NaN) cell every step keeps the NaN
+    # positive, whichever operand numpy's loops pass first
+    return (w.dx * w.dx - w.dt * w.dt + w.value * (w.dtt - w.dxx)) / cube
 
 
 def ricci_from_omega(field, point: Point) -> float:

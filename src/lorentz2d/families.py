@@ -116,11 +116,14 @@ class ConformalFactor:
 
     ``value_fn`` and ``jet_fn`` take (a, b, status=None) and follow the
     module rules for floats and arrays; ``value`` and ``jet`` add the
-    positivity check.  Neither checks points against ``domain``.  On
-    arrays ``value`` and ``jet`` return fresh, writable arrays of the
+    positivity check.  Neither checks points against ``domain``.  The
+    cells' shape is ``np.broadcast_shapes(a.shape, b.shape)``: a column
+    of t against a row of x gives the lattice between them, and a
+    subformula in one coordinate is evaluated on that coordinate alone.
+    On arrays ``value`` and ``jet`` return fresh, writable arrays of the
     cells' shape, which share memory with neither ``a``, ``b`` nor one
     another, while ``value_fn`` and ``jet_fn`` may return their inputs,
-    views or floats.
+    views, smaller broadcastable arrays or floats.
     """
 
     chart: str
@@ -132,7 +135,7 @@ class ConformalFactor:
     jet_fn: Callable[..., Jet2]
 
     def value(self, a, b, status=None):
-        if isinstance(a, np.ndarray):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             return _on_cells(self.value_fn, a, b, status, math.nan)
         w = self.value_fn(a, b)
         if w <= 0.0:
@@ -141,7 +144,7 @@ class ConformalFactor:
         return w
 
     def jet(self, a, b, status=None):
-        if isinstance(a, np.ndarray):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             return _on_cells(self.jet_fn, a, b, status, Jet2(math.nan))
         w = self.jet_fn(a, b)
         if w.value <= 0.0:
@@ -156,6 +159,7 @@ class ConformalFactor:
 def _on_cells(fn, a, b, status, failed):
     """``fn(a, b, status)`` on arrays of cells, poisoned wherever the factor
     is not positive, with every slot a fresh array of their shape."""
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
     try:
         # overflow and invalid results are poisoned cells, not warnings
         with np.errstate(all="ignore"):
@@ -164,25 +168,25 @@ def _on_cells(fn, a, b, status, failed):
         # On arrays only a part that is the same for every cell, such as
         # log(-1), is evaluated on floats and can raise: every cell fails.
         w = failed
-    bad = ~(np.broadcast_to(w.value if isinstance(w, Jet2) else w, a.shape) > 0.0)
+    bad = ~(np.broadcast_to(w.value if isinstance(w, Jet2) else w, shape) > 0.0)
     if bad.any():
         return jets.poison(w, bad)   # np.where builds every slot afresh
-    return _owned(w, a, b)
+    return _owned(w, a, b, shape)
 
 
-def _owned(w, a, b):
-    """``w`` with every slot an array of a's shape that shares memory with
-    neither input nor another slot.  A slot that owns its memory, and is
-    neither an input nor an earlier slot, is kept; floats, views and those
-    are copied."""
+def _owned(w, a, b, shape):
+    """``w`` with every slot an array of the cells' ``shape`` that shares
+    memory with neither input nor another slot.  A slot that owns its
+    memory, and is neither an input nor an earlier slot, is kept; floats,
+    views, smaller slots and those are copied."""
     seen = {id(a), id(b)}
 
     def own(s):
-        if (isinstance(s, np.ndarray) and s.base is None and s.shape == a.shape
+        if (isinstance(s, np.ndarray) and s.base is None and s.shape == shape
                 and s.flags.writeable and id(s) not in seen):
             seen.add(id(s))
             return s
-        return np.full(a.shape, s, dtype=float)
+        return np.full(shape, s, dtype=float)
 
     if isinstance(w, Jet2):
         return Jet2(*(own(s) for s in (w.value, w.dt, w.dx, w.dtt, w.dtx, w.dxx)))

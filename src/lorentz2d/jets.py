@@ -15,9 +15,10 @@ in that number system:
   to (t, x) and back, ``compose_null`` pulls it back through a diagonal
   map u = a(p), v = b(q), and ``null_product`` is the jet of f(u) g(v).
 
-Slots hold floats, or numpy arrays with one entry per lattice cell (a
-float slot broadcasts against arrays, so constants and seed derivatives
-stay floats).  Every rule below is written once and serves both.
+Slots hold floats, or numpy arrays of cells that broadcast against one
+another (a float slot broadcasts against arrays, so constants and seed
+derivatives stay floats; a column of t against a row of x gives the
+lattice between them).  Every rule below is written once and serves both.
 
 Each elementary function has one value rule (``VALUE_FUNCTIONS``), which
 holds its domain and overflow checks, and one derivative triple
@@ -189,18 +190,24 @@ def seed(variable: str, point) -> Jet2:
 
 
 def checked(v, dt, dx, dtt, dtx, dxx) -> Jet2:
-    """The Jet2 of these slots, checked for finiteness (module rules)."""
-    if isinstance(v, np.ndarray):
-        ok = np.isfinite(v)
-        for s in (dt, dx, dtt, dtx, dxx):
-            ok &= np.isfinite(s)
-        if ok.all():
-            return Jet2(v, dt, dx, dtt, dtx, dxx)
-        return poison(Jet2(v, dt, dx, dtt, dtx, dxx), ~ok)
-    if (math.isfinite(v) and math.isfinite(dt) and math.isfinite(dx)
-            and math.isfinite(dtt) and math.isfinite(dtx) and math.isfinite(dxx)):
+    """The Jet2 of these slots, checked for finiteness (module rules).
+
+    The array rules apply unless every slot is a float: a float value with
+    array partials comes from a constant pulled back through a map.  An
+    array value has the broadcast shape of all six slots, as every jet
+    operation builds it."""
+    if (v.__class__ is float and dt.__class__ is float and dx.__class__ is float
+            and dtt.__class__ is float and dtx.__class__ is float and dxx.__class__ is float):
+        if (-1e400 < v < 1e400 and -1e400 < dt < 1e400 and -1e400 < dx < 1e400
+                and -1e400 < dtt < 1e400 and -1e400 < dtx < 1e400 and -1e400 < dxx < 1e400):
+            return Jet2(v, dt, dx, dtt, dtx, dxx)   # finite floats (1e400 is inf)
+        raise DomainError(_NON_FINITE)
+    ok = np.isfinite(v)   # a numpy bool when v is a float: &= rebinds it
+    for s in (dt, dx, dtt, dtx, dxx):
+        ok &= np.isfinite(s)
+    if ok.all():
         return Jet2(v, dt, dx, dtt, dtx, dxx)
-    raise DomainError(_NON_FINITE)
+    return poison(Jet2(v, dt, dx, dtt, dtx, dxx), ~ok)
 
 
 def add(a: Jet2, b: Jet2) -> Jet2:
@@ -287,7 +294,7 @@ def null_product(a: tuple, b: tuple) -> Jet2:
 # Jet2 written out for one variable, operation for operation
 
 def _checked1(f0, f1, f2) -> tuple:
-    if f0.__class__ is float:
+    if f0.__class__ is float and f1.__class__ is float and f2.__class__ is float:
         if -1e400 < f0 < 1e400 and -1e400 < f1 < 1e400 and -1e400 < f2 < 1e400:
             return (f0, f1, f2)   # finite floats (1e400 is inf): kept fast
         raise DomainError(_NON_FINITE)

@@ -5,6 +5,11 @@ it evaluates every cell alone, with floats, through the scalar
 ``factor.value``/``factor.jet`` calls and their typed exceptions.  The
 array path must classify every cell the same way and reproduce its
 values up to the last bits of numpy's transcendental functions.
+
+``gathered_grid`` is the block sampler that row bands replaced: it
+gathers every block's cells into flat coordinate arrays.  Row bands,
+evaluated on broadcast coordinates wherever a band is whole, must give
+its arrays bit for bit.
 """
 
 import math
@@ -27,7 +32,7 @@ from lorentz2d.analysis import (
     VALID,
     sample_grid,
 )
-from lorentz2d.charts import Diamond, Rectangle, Region, compactify
+from lorentz2d.charts import Diamond, Rectangle, Region, compactify, interval_from_omega
 from lorentz2d.curvature import scalar_from_factor_jet
 from lorentz2d.errors import (
     DomainError,
@@ -44,6 +49,7 @@ from lorentz2d.families import (
     spacelike_factor,
     timelike_factor,
 )
+from lorentz2d.jets import Jet2
 
 README_R2 = "exp(2*x) * (exp(x+t) - (1/4)*exp(x-t))^(-2)"
 README_R2_NULL = "exp(u+v) * (exp(u) - (1/4)*exp(v))^(-2)"
@@ -134,6 +140,8 @@ CASES = {
     "flat": lambda: (flat_factor("exp(0.1*l + 0.05*l^2)", "exp(0.2*sin(l))"), BOX),
     "sec2_overhang": lambda: (timelike_factor(-4.0, 0.1, 2.0),
                               Rectangle(-2.0, 2.0, 0.0, 6.0)),
+    "sec2_x_overhang": lambda: (spacelike_factor(-4.0, 0.1, -2.0),
+                                Rectangle(-1.0, 1.0, -3.0, 3.0)),
     "sech2": lambda: (spacelike_factor(4.0, 0.3, 1.0), Rectangle(-1.0, 1.0, -2.0, 2.0)),
     "log_domain_errors": lambda: (factor_from_expression("log(1.5 - t^2 - x^2)"),
                                   Rectangle(-1.5, 1.5, -1.5, 1.5)),
@@ -258,6 +266,142 @@ def test_sampling_is_deterministic():
     b = sample_grid(factor, domain, (30, 30))
     for name in ("omega", "ricci", "s2", "status"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+# ---------------------------------------------------------------------------
+# Row bands on broadcast coordinates against the block sampler
+
+FIELDS = ("omega", "ricci", "s2", "status")
+
+
+def gathered_grid(factor, domain, resolution, with_ricci, block=4096):
+    """(omega, ricci, s2, status) from the block sampler that row bands
+    replaced: row-major blocks of ``block`` cells, each gathered into flat
+    per-cell coordinate arrays and evaluated once."""
+    t0, t1, x0, x1 = domain.bbox()
+    n_t, n_x = resolution
+    ts = t0 + (np.arange(n_t) + 0.5) * ((t1 - t0) / n_t)
+    xs = x0 + (np.arange(n_x) + 0.5) * ((x1 - x0) / n_x)
+    omega, ricci, s2 = (np.full(resolution, np.nan) for _ in range(3))
+    status = np.full(resolution, OUTSIDE, dtype=np.int8)
+    omega_c, ricci_c, s2_c, status_c = (arr.reshape(-1)
+                                        for arr in (omega, ricci, s2, status))
+    with np.errstate(all="ignore"):
+        for start in range(0, n_t * n_x, block):
+            cells = np.arange(start, min(start + block, n_t * n_x))
+            a, b = ts[cells // n_x], xs[cells % n_x]
+            inside = domain.contains(a, b)
+            cells, a, b = cells[inside], a[inside], b[inside]
+            in_factor = factor.domain.contains(a, b)
+            status_c[cells[~in_factor]] = DOMAIN_ERROR
+            cells, a, b = cells[in_factor], a[in_factor], b[in_factor]
+            if cells.size == 0:
+                continue
+            code = np.full(cells.size, VALID, dtype=np.int8)
+            if with_ricci:
+                w = factor.jet(a, b, code)
+                om = w.value
+                ricci_c[cells] = scalar_from_factor_jet(w, factor.chart)
+            else:
+                om = factor.value(a, b, code)
+            code[np.isnan(om) & (code == VALID)] = DOMAIN_ERROR
+            omega_c[cells] = om
+            s2_c[cells] = interval_from_omega(om, a, b, factor.chart)
+            status_c[cells] = code
+    return omega, ricci, s2, status
+
+
+def assert_bands_match_blocks(factor, domain, resolution, with_ricci):
+    """Every band size gives the block sampler's arrays bit for bit (NaN
+    sign bits included), or both raise on an underflowing Omega^3."""
+    n_cells = resolution[0] * resolution[1]
+    try:
+        want = [arr.tobytes() for arr in
+                gathered_grid(factor, domain, resolution, with_ricci)]
+    except ZeroDivisionError:
+        want = None
+    for band in (1, 7, DEFAULT_BLOCK_CELLS, n_cells + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_BLOCK_CELLS", band)
+            if want is None:
+                with pytest.raises(ZeroDivisionError):
+                    sample_grid(factor, domain, resolution, with_ricci=with_ricci)
+                continue
+            grid = sample_grid(factor, domain, resolution, with_ricci=with_ricci)
+        got = [getattr(grid, name).tobytes() for name in FIELDS]
+        for name, g, w in zip(FIELDS, got, want):
+            assert g == w, f"{name} differs at band size {band}"
+
+
+@pytest.mark.parametrize("with_ricci", [True, False])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bands_match_the_block_sampler(case, with_ricci):
+    factor, domain = CASES[case]()
+    # more cells than a default band, and the last band is partial
+    assert_bands_match_blocks(factor, domain, BLOCK_LATTICE, with_ricci)
+
+
+def _formulas(names):
+    leaf = st.one_of(st.sampled_from([Variable(n) for n in names]),
+                     st.sampled_from([Constant(v) for v in (0.5, 2.0, -1.0, 3.0, 700.0)]))
+    return st.recursive(leaf, _extend, max_leaves=6)
+
+
+# formulas in one coordinate, evaluated once per row or column, and in both
+VARIABLE_SETS = [("t",), ("x",), ("u",), ("v",), ("t", "x"), ("u", "v")]
+# sec^2-like strips of the factor's own domain, which the box overhangs
+STRIPS = [Rectangle(-0.6, 0.4, -math.inf, math.inf),
+          Rectangle(-math.inf, math.inf, -0.3, 0.9)]
+LATTICES = [(67, 71), (23, 5), (1, 9), (9, 1), (12, 3), (3, 40)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(VARIABLE_SETS).flatmap(_formulas), st.booleans(),
+       st.sampled_from(["box", "strip_t", "strip_x", "diamond", "compact", "region"]),
+       st.sampled_from(LATTICES))
+def test_random_formulas_sample_like_the_block_sampler(tree, with_ricci, layout,
+                                                       resolution):
+    domain = BOX
+    if layout.startswith("strip"):
+        factor = factor_from_expression(tree, domain=STRIPS[layout == "strip_x"])
+    else:
+        factor = factor_from_expression(tree)
+    if layout == "diamond":
+        domain = Diamond(1.5)
+    elif layout == "compact":
+        factor, domain = compactify(factor), Diamond()
+    elif layout == "region":
+        domain = Region(_disc, (-1.0, 1.0, -1.0, 1.0))
+    assert_bands_match_blocks(factor, domain, resolution, with_ricci)
+
+
+def _slot_list(w):
+    return [w.value, w.dt, w.dx, w.dtt, w.dtx, w.dxx] if isinstance(w, Jet2) else [w]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_broadcast_cells_get_fresh_arrays_of_their_shape(case):
+    # a column of t against a row of x: the lattice between them, with
+    # the bits of the same cells gathered into flat arrays
+    factor, domain = CASES[case]()
+    t0, t1, x0, x1 = domain.bbox()
+    a = np.linspace(t0, t1, 6)[1:-1, None]
+    b = np.linspace(x0, x1, 7)[None, 1:-1]
+    flat_a, flat_b = (arr.ravel() for arr in np.broadcast_arrays(a, b))
+    for call in (factor.value, factor.jet):
+        with np.errstate(all="ignore"):
+            slots, flat = _slot_list(call(a, b)), _slot_list(call(flat_a, flat_b))
+        for k, (s, w) in enumerate(zip(slots, flat)):
+            assert isinstance(s, np.ndarray) and s.shape == (4, 5)
+            assert s.flags.writeable
+            assert s.tobytes() == w.tobytes()
+            for other in [a, b] + slots[:k]:
+                assert not np.shares_memory(s, other)
+    # a float coordinate broadcasts too
+    row = _slot_list(factor.jet(float(a[1, 0]), b))
+    assert [s.shape for s in row] == [(1, 5)] * 6
+    assert [s.tobytes() for s in row] == [s[1:2].tobytes()
+                                           for s in _slot_list(factor.jet(a, b))]
 
 
 # ---------------------------------------------------------------------------

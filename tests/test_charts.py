@@ -22,7 +22,7 @@ from lorentz2d.charts import (
     to_null,
 )
 from lorentz2d.curvature import ricci_from_omega
-from lorentz2d.errors import SINGULAR, VALID, DomainError, EvaluationError
+from lorentz2d.errors import SINGULAR, VALID, DomainError, EvaluationError, NonPositiveFactor
 from lorentz2d.expressions import evaluate, parse, unparse
 from lorentz2d.jets import Jet2
 from lorentz2d.families import (
@@ -101,6 +101,23 @@ def test_region_wraps_predicate():
     assert not disc.contains(0.9, 0.9)
     assert disc.bbox() == (-1.0, 1.0, -1.0, 1.0)
     assert disc.is_bounded
+
+
+def test_region_broadcasts_array_arguments():
+    # a column of t against a row of x is the lattice between them
+    def above_diagonal(t, x):
+        return t * t + x * x < 1.0 and t < x
+
+    region = Region(above_diagonal, (-1.0, 1.0, -1.0, 1.0))
+    t = np.linspace(-1.0, 1.0, 5)[:, None]
+    x = np.linspace(-1.2, 1.2, 7)[None, :]
+    expect = [[above_diagonal(a, b) for b in x[0].tolist()] for a in t[:, 0].tolist()]
+    got = region.contains(t, x)
+    assert got.shape == (5, 7) and got.dtype == bool
+    np.testing.assert_array_equal(got, expect)
+    assert region.contains(0.5, x).tolist() == [expect[3]]
+    with pytest.raises(ValueError):
+        region.contains(np.zeros(3), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +209,16 @@ def test_compactify_constant_curvature_factor():
     assert c.target_curvature == 2.0
     assert abs(ricci_from_omega(c, (0.2, -0.3)) - 2.0) < 1e-8
 
+
+def test_compactify_checks_positivity_at_the_compact_point():
+    # the inner factor x is negative at (U, V) = (tan(-0.2), tan(-0.3)),
+    # and the compact factor's own check names the compact point
+    c = compactify(factor_from_expression("x"))
+    for call in (c.value, c.jet):
+        with pytest.raises(NonPositiveFactor, match=r"at \(0\.1, -0\.5\)"):
+            call(0.1, -0.5)
+    got = c.value(np.array([0.1, 0.1]), np.array([-0.5, 0.5]))
+    assert math.isnan(got[0]) and got[1] > 0.0
 
 def test_compactify_rejects_strip_domain():
     with pytest.raises(DomainError):
