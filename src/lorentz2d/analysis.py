@@ -38,11 +38,18 @@ crossing is a jump of the field across a singular curve, not a point of
 the level set.  Segments are chained into polylines by pairing their
 ends through an argsort of their crossing ids and following the pairs.
 
+A level set's polylines are (n, 2) float arrays, t then x: the chained
+vertices of all levels are stacked into one array and each polyline is a
+view into it, so no vertex becomes a Python tuple on the way.
+
 Exports: grid -> CSV, report -> JSON, level sets -> CSV or SVG, each
-built from ``tolist()`` arrays: ``repr`` (round-trip) once per distinct
-CSV coordinate, the SVG pixel maths on arrays.  The SVG maps the domain
-onto a fixed 800x800 viewport, one path per polyline tagged with a
-``data-level`` attribute.
+built from ``tolist()`` arrays.  The level-set exporters concatenate the
+polylines into one (N, 2) float array (a hand-built polyline, a list of
+(t, x) pairs or an array, is read with ``np.asarray``), call ``repr``
+(round-trip) once per distinct CSV coordinate and do the SVG pixel maths
+on that array; a level is printed as ``float(level)``.  The SVG maps the
+domain onto a fixed 800x800 viewport, one path per polyline tagged with
+a ``data-level`` attribute.
 """
 
 from __future__ import annotations
@@ -261,12 +268,18 @@ def constancy_report(grid: SampleGrid, target: float | None = None,
 # ---------------------------------------------------------------------------
 # Level sets
 
-@dataclass
+@dataclass(eq=False)
 class LevelSet:
-    """Polylines of s^2 = level.  ``n_pruned`` counts the crossing edges
-    whose vertex was dropped, ``max_residual`` is the largest |s^2 - level|
-    of a kept refined vertex (NaN if none, or without refinement) and
-    ``bisections`` the field evaluations that refinement spent."""
+    """Polylines of s^2 = level.  Each polyline is an (n, 2) float64 array
+    of its vertices, columns t then x (u then v in the null chart); those
+    of ``extract_level_sets`` are views into one array per call, and a
+    hand-built one may be any sequence of (t, x) pairs.  ``n_pruned``
+    counts the crossing edges whose vertex was dropped, ``max_residual``
+    is the largest |s^2 - level| of a kept refined vertex (NaN if none, or
+    without refinement) and ``bisections`` the field evaluations that
+    refinement spent.  Level sets compare by identity (``==`` is ``is``):
+    to compare contents, compare ``[p.tolist() for p in ls.polylines]``
+    and the other fields."""
 
     level: float
     polylines: list
@@ -434,7 +447,7 @@ def extract_level_sets(grid: SampleGrid, levels, refine: bool = True,
                 residual_bound, max_bisections)
     ends = np.searchsorted(keys, segments)   # segment ends as crossing indices
     path, starts = _chain_segments(ends[keep[ends].all(axis=1)])
-    vertices = list(zip(t[path].tolist(), x[path].tolist()))
+    vertices = np.stack([t[path], x[path]], axis=1)
     polylines = [vertices[a:b] for a, b in zip(starts[:-1], starts[1:])]
     # crossings and polylines come grouped by level
     level_ids = np.arange(len(levels) + 1)
@@ -538,24 +551,28 @@ def report_to_json(report: CurvatureReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _coordinates(level_sets) -> list:
-    """Every vertex coordinate of ``level_sets``: t, x, t, x, ..."""
-    return list(chain.from_iterable(chain.from_iterable(
-        poly for ls in level_sets for poly in ls.polylines)))
+def _vertices(level_sets):
+    """Every vertex of ``level_sets`` in one (N, 2) float array, t then x,
+    and the lengths of each level's polylines."""
+    polys = [[np.asarray(poly, dtype=float).reshape(-1, 2) for poly in ls.polylines]
+             for ls in level_sets]
+    lengths = [[len(poly) for poly in level] for level in polys]
+    return np.concatenate([np.empty((0, 2)), *chain.from_iterable(polys)]), lengths
 
 
 def _reprs(values) -> list:
-    """``repr`` of every entry of ``values``, called once per distinct float.
+    """``repr`` of every entry of the float array ``values``, called once
+    per distinct float.
 
     A refined vertex lies on a lattice edge, so one of its coordinates is
     a lattice coordinate, and those repeat.  Floats are told apart by
     their bits, which keeps -0.0 apart from 0.0.
     """
-    bits = np.array(values, dtype=float).view(np.int64)
+    bits = values.view(np.int64)
     order = np.argsort(bits, kind="stable")
     new = np.ones(bits.size, dtype=bool)
     new[1:] = bits[order[1:]] != bits[order[:-1]]
-    text = [repr(values[i]) for i in order[new].tolist()]
+    text = [repr(v) for v in values[order[new]].tolist()]
     distinct = np.empty(bits.size, dtype=np.intp)
     distinct[order] = np.cumsum(new) - 1
     return [text[i] for i in distinct.tolist()]
@@ -563,15 +580,15 @@ def _reprs(values) -> list:
 
 def level_sets_to_csv(level_sets) -> str:
     """One row per vertex: level, polyline index within the level, t, x."""
-    reprs = _reprs(_coordinates(level_sets))
+    tx, lengths = _vertices(level_sets)
+    reprs = _reprs(tx.ravel())
     chunks = ["level,polyline,t,x\n"]
     k = 0
-    for ls in level_sets:
-        level = repr(ls.level)
-        for p_idx, poly in enumerate(ls.polylines):
-            n = 2 * len(poly)
-            chunks.append(f"{level},{p_idx},%s,%s\n" * len(poly) % tuple(reprs[k:k + n]))
-            k += n
+    for ls, sizes in zip(level_sets, lengths):
+        level = repr(float(ls.level))
+        for p_idx, n in enumerate(sizes):
+            chunks.append(f"{level},{p_idx},%s,%s\n" * n % tuple(reprs[k:k + 2 * n]))
+            k += 2 * n
     return "".join(chunks)
 
 
@@ -588,7 +605,7 @@ def level_sets_to_svg(level_sets, bounds=None) -> str:
     ``bounds`` = (t_min, t_max, x_min, x_max); defaults to the extent of
     the vertices with 5% padding.  x runs right, t runs up.
     """
-    tx = np.array(_coordinates(level_sets), dtype=float).reshape(-1, 2)
+    tx, lengths = _vertices(level_sets)
     if bounds is None:
         if not tx.size:
             bounds = (-1.0, 1.0, -1.0, 1.0)
@@ -599,7 +616,7 @@ def level_sets_to_svg(level_sets, bounds=None) -> str:
             bounds = (t_lo - pad_t, t_hi + pad_t, x_lo - pad_x, x_hi + pad_x)
     t0, t1, x0, x1 = bounds
     span = _SVG_SIZE - 2 * _SVG_MARGIN
-    drawn = any(len(poly) >= 2 for ls in level_sets for poly in ls.polylines)
+    drawn = any(n >= 2 for sizes in lengths for n in sizes)
     if drawn and not (x1 - x0 and t1 - t0):   # as float division fails
         raise ZeroDivisionError("float division by zero")
     with np.errstate(all="ignore"):
@@ -613,11 +630,10 @@ def level_sets_to_svg(level_sets, bounds=None) -> str:
         f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
     ]
     k = 0
-    for idx, ls in enumerate(level_sets):
+    for idx, (ls, sizes) in enumerate(zip(level_sets, lengths)):
         color = _PALETTE[idx % len(_PALETTE)]
-        level = repr(ls.level)
-        for poly in ls.polylines:
-            n = len(poly)
+        level = repr(float(ls.level))
+        for n in sizes:
             if n >= 2:
                 d = ("M " + " L ".join(["%.3f %.3f"] * n)) % tuple(xy[k:k + 2 * n])
                 lines.append(f'<path d="{d}" fill="none" stroke="{color}" '
@@ -627,7 +643,7 @@ def level_sets_to_svg(level_sets, bounds=None) -> str:
         color = _PALETTE[idx % len(_PALETTE)]
         y = 20 + 16 * idx
         lines.append(f'<text x="8" y="{y}" font-family="monospace" '
-                     f'font-size="12" fill="{color}">s2 = {repr(ls.level)}</text>')
+                     f'font-size="12" fill="{color}">s2 = {float(ls.level)!r}</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

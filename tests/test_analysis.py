@@ -230,7 +230,7 @@ def test_level_set_null_rays():
 def test_level_set_absent_level_is_empty():
     grid = _hyperbola_grid(resolution=(20, 20))
     (ls,) = extract_level_sets(grid, [100.0])
-    assert ls.polylines == []
+    assert [p.tolist() for p in ls.polylines] == []
     assert extract_level_sets(grid, []) == []
 
 
@@ -247,7 +247,8 @@ def test_level_set_extraction_is_deterministic():
     grid = _hyperbola_grid(resolution=(40, 40))
     first = extract_level_sets(grid, [1.0, -1.0])
     second = extract_level_sets(grid, [1.0, -1.0])
-    assert [ls.polylines for ls in first] == [ls.polylines for ls in second]
+    assert ([[p.tolist() for p in ls.polylines] for ls in first]
+            == [[p.tolist() for p in ls.polylines] for ls in second])
 
 
 def test_level_set_vertices_near_singular_curve_are_pruned():

@@ -2,8 +2,10 @@
 
 ``reference_grid_to_csv``, ``reference_level_sets_to_csv`` and
 ``reference_level_sets_to_svg`` are the exporters that formatted one cell
-or one vertex at a time.  The array-built exporters of ``analysis`` must
-produce exactly the same strings.
+or one vertex at a time, written for polylines that are lists of (t, x)
+float tuples; they are given such lists, built from the polylines'
+arrays.  The array-built exporters of ``analysis`` must produce exactly
+the same strings.
 """
 
 import math
@@ -34,7 +36,7 @@ from lorentz2d.families import (
     timelike_factor,
 )
 
-from test_level_sets import GRIDS
+from test_level_sets import GRIDS, as_vertex_lists
 
 _CSV_HEADER = "t,x,omega,R,s2,valid"
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -115,10 +117,17 @@ def reference_level_sets_to_svg(level_sets, bounds=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def with_tuple_polylines(level_sets) -> list:
+    """``level_sets`` with every polyline as a list of (t, x) float tuples."""
+    return [LevelSet(ls.level, [list(map(tuple, p)) for p in as_vertex_lists(ls.polylines)])
+            for ls in level_sets]
+
+
 def assert_level_set_exports_match(level_sets, bounds=None):
-    assert level_sets_to_csv(level_sets) == reference_level_sets_to_csv(level_sets)
+    tuples = with_tuple_polylines(level_sets)
+    assert level_sets_to_csv(level_sets) == reference_level_sets_to_csv(tuples)
     assert (level_sets_to_svg(level_sets, bounds=bounds)
-            == reference_level_sets_to_svg(level_sets, bounds=bounds))
+            == reference_level_sets_to_svg(tuples, bounds=bounds))
 
 
 @pytest.mark.parametrize("refine", [True, False])
@@ -134,7 +143,7 @@ def test_diagram_exports_match_reference(name, side, refine):
     assert_level_set_exports_match(sets, bounds=(-0.5, 2.0, -3.0, 0.25))
 
 
-@pytest.mark.parametrize("level_sets", [
+HAND_BUILT = [
     [],
     [LevelSet(1.0, []), LevelSet(-2.0, [])],
     # one-vertex polylines count for the bounds but are not drawn
@@ -153,11 +162,40 @@ def test_diagram_exports_match_reference(name, side, refine):
     [LevelSet(1e-300, [[(1e-300, 2e-300), (3e-300, -1e-300)]])],
     [LevelSet(2.0, [[(math.pi, math.e), (math.e, math.pi), (math.pi, math.pi),
                      (0.1, 0.2), (0.1 + 0.2, 0.3)]])],
-], ids=["empty", "no-polylines", "one-vertex-mixed", "one-vertex-only",
-        "one-t", "one-x", "signed-zeros", "huge-and-tiny", "tiny", "round-trip"])
+]
+HAND_BUILT_CASES = pytest.mark.parametrize("level_sets", HAND_BUILT, ids=[
+    "empty", "no-polylines", "one-vertex-mixed", "one-vertex-only", "one-t", "one-x",
+    "signed-zeros", "huge-and-tiny", "tiny", "round-trip"])
+
+
+@HAND_BUILT_CASES
 def test_hand_built_exports_match_reference(level_sets):
     assert_level_set_exports_match(level_sets)
     assert_level_set_exports_match(level_sets, bounds=(-2.0, 2.0, -1.0, 3.0))
+
+
+def _exports(level_sets) -> tuple:
+    return (level_sets_to_csv(level_sets), level_sets_to_svg(level_sets),
+            level_sets_to_svg(level_sets, bounds=(-2.0, 2.0, -1.0, 3.0)))
+
+
+@HAND_BUILT_CASES
+def test_array_and_numpy_scalar_inputs_export_the_same_bytes(level_sets):
+    as_arrays = [LevelSet(ls.level, [np.array(p, dtype=float).reshape(-1, 2)
+                                     for p in ls.polylines]) for ls in level_sets]
+    numpy_levels = [LevelSet(np.float64(ls.level), ls.polylines) for ls in level_sets]
+    both = [LevelSet(np.float64(ls.level), ls.polylines) for ls in as_arrays]
+    want = _exports(level_sets)
+    for variant in (as_arrays, numpy_levels, both):
+        assert _exports(variant) == want
+
+
+def test_numpy_scalars_are_printed_as_floats():
+    sets = [LevelSet(np.float64(1.0), [np.array([[0.0, 1.0], [0.5, 1.5]])])]
+    assert level_sets_to_csv(sets) == "level,polyline,t,x\n1.0,0,0.0,1.0\n1.0,0,0.5,1.5\n"
+    svg = level_sets_to_svg(sets)
+    assert "np." not in svg
+    assert 'data-level="1.0"' in svg and "s2 = 1.0<" in svg
 
 
 def test_svg_with_degenerate_bounds_raises_like_reference():

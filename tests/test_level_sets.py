@@ -5,7 +5,9 @@
 bisection per vertex through the float ``factor.value`` and its typed
 exceptions, and polylines chained by walking a dict of adjacency lists
 (``_chain_segments``).  The array path must return exactly the same
-polylines (bitwise-equal vertices, same chaining order).
+polylines (bitwise-equal vertices, same chaining order).  Polylines are
+compared in their array form, as the nested lists of ``tolist()``; the
+reference's lists of (t, x) tuples are converted the same way.
 """
 
 import math
@@ -174,13 +176,23 @@ def reference_level_sets(grid, levels, refine=True, residual_bound=1e-2,
     return result
 
 
+def vertex_lists(ls) -> list:
+    """A level set's (n, 2) polyline arrays as nested lists of floats."""
+    return [p.tolist() for p in ls.polylines]
+
+
+def as_vertex_lists(polylines) -> list:
+    """Polylines given as sequences of (t, x) pairs, converted the same way."""
+    return [np.asarray(p, dtype=float).reshape(-1, 2).tolist() for p in polylines]
+
+
 def assert_matches_reference(grid, levels, refine):
     """Exact polylines."""
     got = extract_level_sets(grid, levels, refine=refine)
     want = reference_level_sets(grid, levels, refine=refine)
     assert [ls.level for ls in got] == [float(level) for level in levels]
     for ls, polylines in zip(got, want):
-        assert ls.polylines == polylines, ls.level
+        assert vertex_lists(ls) == as_vertex_lists(polylines), ls.level
     return got
 
 
@@ -291,7 +303,7 @@ def test_shifted_liouville_matches_reference(refine):
 def test_degenerate_lattices_have_no_segments(resolution, refine):
     grid = sample_grid(flat_factor("1", "1"), BOX3, resolution, with_ricci=False)
     (ls,) = assert_matches_reference(grid, [0.0], refine)
-    assert ls.polylines == [] and ls.n_pruned == 0
+    assert vertex_lists(ls) == [] and ls.n_pruned == 0
 
 
 @pytest.mark.parametrize("refine", [True, False])
@@ -305,7 +317,7 @@ def test_two_by_two_with_an_invalid_corner(refine):
     full = sample_grid(flat_factor("1", "1"), Rectangle(*bounds), (2, 2),
                        with_ricci=False)
     (ls,) = assert_matches_reference(grid, [1.0], refine)
-    assert ls.polylines == []
+    assert vertex_lists(ls) == []
     (ls,) = assert_matches_reference(full, [1.0], refine)
     assert ls.polylines
 
@@ -337,7 +349,7 @@ def _square_grid(corners, factor=None):
 def test_saddle_cells(corners, polylines):
     grid = _square_grid(corners)
     (ls,) = assert_matches_reference(grid, [0.0], refine=False)
-    assert ls.polylines == polylines
+    assert vertex_lists(ls) == as_vertex_lists(polylines)
     # refinement polishes against the flat field, whatever the stored s^2
     assert_matches_reference(grid, [0.0], refine=True)
 
@@ -347,8 +359,8 @@ def test_exact_hit_keeps_its_lattice_point():
     # the vertex on the left edge is that lattice point, with no evaluation
     grid = _square_grid((-0.5, 1.0, 0.0, -1.0))
     (ls,) = assert_matches_reference(grid, [-0.5], refine=True)
-    ((start, end),) = ls.polylines
-    assert start == (0.0, 0.0)
+    ((start, end),) = vertex_lists(ls)
+    assert start == [0.0, 0.0]
     assert end[0] == 1.0 and abs(end[1] ** 2 - 1.0 + 0.5) <= 1e-3
 
 
@@ -362,7 +374,7 @@ def test_nan_corner_is_below_every_level(refine):
     low, high = extract_level_sets(grid, [0.5, 2.5], refine=refine)
     if refine:
         assert (low.n_pruned, high.n_pruned) == (2, 2)
-        assert low.polylines == [] and high.polylines == []
+        assert vertex_lists(low) == [] and vertex_lists(high) == []
     else:
         assert [len(p) for p in low.polylines] == [2]
         assert [len(p) for p in high.polylines] == [2]
@@ -375,7 +387,7 @@ def test_failed_field_value_prunes_the_vertex():
     factor = factor_from_expression("1 + sqrt((x - 0.45)^2 - 0.01)")
     grid = _square_grid((-0.45, 0.55, 0.55, -0.45), factor)
     (ls,) = assert_matches_reference(grid, [0.05], refine=True)
-    assert ls.polylines == [] and ls.n_pruned == 2 and ls.bisections == 2
+    assert vertex_lists(ls) == [] and ls.n_pruned == 2 and ls.bisections == 2
 
 
 def test_level_set_diagnostics_on_the_jump_grid():
@@ -396,7 +408,47 @@ def test_level_set_defaults():
     assert ls.n_pruned == 0 and ls.bisections == 0 and math.isnan(ls.max_residual)
     grid = sample_grid(flat_factor("1", "1"), BOX3, (20, 20), with_ricci=False)
     (empty,) = extract_level_sets(grid, [100.0])
-    assert empty.polylines == [] and math.isnan(empty.max_residual)
+    assert vertex_lists(empty) == [] and math.isnan(empty.max_residual)
+
+
+@pytest.mark.parametrize("make, levels", [
+    (lambda: sample_grid(flat_factor("1", "1"), BOX3, (37, 37), with_ricci=False),
+     DIAGRAM_LEVELS),
+    (lambda: sample_grid(compactify(_raw_liouville()), Diamond(), (48, 48),
+                         with_ricci=False), DIAGRAM_LEVELS),
+    # pruned vertices
+    (_jump_grid, [0.5, 2.0]),
+    # the smallest polyline: one segment across a 2x2 lattice
+    (lambda: _square_grid((-1.0, 1.0, 1.0, -1.0)), [0.0]),
+    # no edges at all
+    (lambda: sample_grid(flat_factor("1", "1"), BOX3, (1, 7), with_ricci=False), []),
+], ids=["classic_flat", "compact_liouville", "jump", "one-segment", "one-row"])
+@pytest.mark.parametrize("refine", [True, False])
+def test_polylines_are_float64_views_of_one_vertex_array(make, levels, refine):
+    # each call also asks for a level that the field never reaches
+    sets = extract_level_sets(make(), [*levels, 1e300], refine=refine)
+    assert sets[-1].polylines == []
+    polylines = [p for ls in sets for p in ls.polylines]
+    assert bool(polylines) == bool(levels)
+    for p in polylines:
+        assert type(p) is np.ndarray and p.dtype == np.float64
+        # a segment joins two distinct crossings: no polyline is shorter
+        assert p.ndim == 2 and p.shape[1] == 2 and p.shape[0] >= 2
+        assert p.base is polylines[0].base
+    if polylines:
+        assert polylines[0].base.shape == (sum(len(p) for p in polylines), 2)
+
+
+def test_level_sets_compare_by_identity():
+    vertices = np.array([[0.0, 1.0], [0.5, 1.5]])
+    first = LevelSet(1.0, [vertices])
+    twin = LevelSet(1.0, [vertices.copy()])
+    assert first == first and not first != first
+    assert first != twin and not first == twin
+    grid = sample_grid(flat_factor("1", "1"), BOX3, (20, 20), with_ricci=False)
+    once, again = (extract_level_sets(grid, [1.0, -1.0]) for _ in range(2))
+    assert once != again and once == once
+    assert [vertex_lists(ls) for ls in once] == [vertex_lists(ls) for ls in again]
 
 
 def test_invalid_cells_take_no_part():
@@ -426,12 +478,12 @@ def test_levels_refined_together_match_levels_alone(name, options):
     assert len(together) == len(levels)
     for got, want in zip(together, alone):
         assert got.level == want.level
-        assert got.polylines == want.polylines, got.level
+        assert vertex_lists(got) == vertex_lists(want), got.level
         assert got.n_pruned == want.n_pruned, got.level
         assert got.bisections == want.bisections, got.level
         assert (got.max_residual == want.max_residual
                 or math.isnan(got.max_residual) and math.isnan(want.max_residual))
-    assert together[len(levels) - 3].polylines == []
+    assert vertex_lists(together[len(levels) - 3]) == []
     assert extract_level_sets(grid, [], **options) == []
     if name == "jump" and options.get("refine", True):
         assert any(ls.n_pruned for ls in together)
