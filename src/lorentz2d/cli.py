@@ -11,7 +11,8 @@ Subcommands:
 * ``contour``     extract constant-interval level sets to SVG or CSV.
 
 Exit codes: 0 check passed, 1 check failed, 2 usage/parse/parameter
-error, 3 numeric or domain failure (empty grid, impossible transform).
+error (a grid too large to allocate included), 3 numeric or domain
+failure (empty grid, impossible transform).
 
 argparse is the one reader of options.  Each entry of a ``--config``
 JSON object is read as the flag ``--key=value`` placed before the
@@ -303,6 +304,10 @@ def main(argv=None) -> int:
         return 3
     except (_UsageError, ValueError, OSError, Lorentz2dError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        # a lattice too large for this machine is a parameter error
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 2
 
 

@@ -44,14 +44,15 @@ and where a product of slots underflows.
 ``factor_from_expression`` wraps an arbitrary formula (standard or null
 chart) as a factor so the same grid and report machinery applies to it.
 
-Every factory returns a ``ConformalFactor``; its ``value``/``jet``
-methods raise ``NonPositiveFactor`` wherever the factor is not strictly
-positive, ``SingularDenominator`` inside the epsilon band around D = 0,
-and ``DomainError`` outside function domains.  Given arrays of cell
-coordinates they evaluate every cell at once instead: a failed cell is
-NaN, and a singular one is also marked ``SINGULAR`` in the optional
-``status`` array.  Every slot they return is then a fresh array that the
-caller may write to.
+Every factory returns a ``ConformalFactor``.  Its ``value_fn``/``jet_fn``
+raise ``SingularDenominator`` inside the epsilon band around D = 0 and
+``DomainError`` outside function domains; its ``value``/``jet`` do the
+same and also raise ``NonPositiveFactor`` wherever the factor is not
+strictly positive.  Given arrays of cell coordinates all four evaluate
+every cell at once instead: a failed cell is NaN, and a singular one is
+also marked ``SINGULAR`` in the optional ``status`` array.  Each slot
+they return then broadcasts to the cells' shape, and may be a float, a
+row, a column or an input array itself, so callers only read it.
 """
 
 from __future__ import annotations
@@ -114,16 +115,15 @@ class ConformalFactor:
     constant R the factor is supposed to realize (None for ad-hoc
     expressions with no claim attached).
 
-    ``value_fn`` and ``jet_fn`` take (a, b, status=None) and follow the
-    module rules for floats and arrays; ``value`` and ``jet`` add the
-    positivity check.  Neither checks points against ``domain``.  The
-    cells' shape is ``np.broadcast_shapes(a.shape, b.shape)``: a column
-    of t against a row of x gives the lattice between them, and a
+    ``value_fn``, ``jet_fn``, ``value`` and ``jet`` take (a, b,
+    status=None) and follow the module rules for floats and arrays.
+    ``value`` and ``jet`` add the positivity check: on arrays they return
+    what ``value_fn`` and ``jet_fn`` return with the non-positive cells
+    poisoned, and all NaN where a part that is the same for every cell,
+    such as log(-1), raises.  None checks points against ``domain``.
+    The cells' shape is ``np.broadcast_shapes(a.shape, b.shape)``: a
+    column of t against a row of x gives the lattice between them, and a
     subformula in one coordinate is evaluated on that coordinate alone.
-    On arrays ``value`` and ``jet`` return fresh, writable arrays of the
-    cells' shape, which share memory with neither ``a``, ``b`` nor one
-    another, while ``value_fn`` and ``jet_fn`` may return their inputs,
-    views, smaller broadcastable arrays or floats.
     """
 
     chart: str
@@ -135,62 +135,36 @@ class ConformalFactor:
     jet_fn: Callable[..., Jet2]
 
     def value(self, a, b, status=None):
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return _on_cells(self.value_fn, a, b, status, math.nan)
-        w = self.value_fn(a, b)
-        if w <= 0.0:
-            raise NonPositiveFactor(
-                f"factor is {w!r} <= 0 at ({a!r}, {b!r})")
-        return w
+        return _checked(self.value_fn, a, b, status, math.nan)
 
     def jet(self, a, b, status=None):
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return _on_cells(self.jet_fn, a, b, status, Jet2(math.nan))
-        w = self.jet_fn(a, b)
-        if w.value <= 0.0:
-            raise NonPositiveFactor(
-                f"factor is {w.value!r} <= 0 at ({a!r}, {b!r})")
-        return w
+        return _checked(self.jet_fn, a, b, status, Jet2(math.nan))
 
     def __call__(self, a: float, b: float) -> float:
         return self.value(a, b)
 
 
-def _on_cells(fn, a, b, status, failed):
-    """``fn(a, b, status)`` on arrays of cells, poisoned wherever the factor
-    is not positive, with every slot a fresh array of their shape."""
-    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+def _checked(fn, a, b, status, failed):
+    """``fn(a, b, status)`` where the factor is positive.  Floats raise
+    ``NonPositiveFactor`` elsewhere; arrays of cells come back poisoned
+    there, and all NaN (``failed``) when a part the same for every cell,
+    such as log(-1), is evaluated on floats and raises."""
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        w = fn(a, b, status)
+        omega = w.value if isinstance(w, Jet2) else w
+        if omega <= 0.0:
+            raise NonPositiveFactor(
+                f"factor is {omega!r} <= 0 at ({a!r}, {b!r})")
+        return w
     try:
         # overflow and invalid results are poisoned cells, not warnings
         with np.errstate(all="ignore"):
             w = fn(a, b, status)
     except EvaluationError:
-        # On arrays only a part that is the same for every cell, such as
-        # log(-1), is evaluated on floats and can raise: every cell fails.
         w = failed
-    bad = ~(np.broadcast_to(w.value if isinstance(w, Jet2) else w, shape) > 0.0)
-    if bad.any():
-        return jets.poison(w, bad)   # np.where builds every slot afresh
-    return _owned(w, a, b, shape)
-
-
-def _owned(w, a, b, shape):
-    """``w`` with every slot an array of the cells' ``shape`` that shares
-    memory with neither input nor another slot.  A slot that owns its
-    memory, and is neither an input nor an earlier slot, is kept; floats,
-    views, smaller slots and those are copied."""
-    seen = {id(a), id(b)}
-
-    def own(s):
-        if (isinstance(s, np.ndarray) and s.base is None and s.shape == shape
-                and s.flags.writeable and id(s) not in seen):
-            seen.add(id(s))
-            return s
-        return np.full(shape, s, dtype=float)
-
-    if isinstance(w, Jet2):
-        return Jet2(*(own(s) for s in (w.value, w.dt, w.dx, w.dtt, w.dtx, w.dxx)))
-    return own(w)
+    # np.greater, not >: a constant factor's value is a float
+    bad = ~np.greater(w.value if isinstance(w, Jet2) else w, 0.0)
+    return jets.poison(w, bad) if bad.any() else w
 
 
 # ---------------------------------------------------------------------------

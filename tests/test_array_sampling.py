@@ -382,26 +382,28 @@ def _slot_list(w):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_broadcast_cells_get_fresh_arrays_of_their_shape(case):
     # a column of t against a row of x: the lattice between them, with
-    # the bits of the same cells gathered into flat arrays
+    # the bits of the same cells gathered into flat arrays.  The name is
+    # older than the contract: a slot is no longer a fresh array but may be
+    # a float, a row, a column or an input, and the inputs stay as they were
     factor, domain = CASES[case]()
     t0, t1, x0, x1 = domain.bbox()
     a = np.linspace(t0, t1, 6)[1:-1, None]
     b = np.linspace(x0, x1, 7)[None, 1:-1]
+    inputs = a.tobytes(), b.tobytes()
     flat_a, flat_b = (arr.ravel() for arr in np.broadcast_arrays(a, b))
     for call in (factor.value, factor.jet):
         with np.errstate(all="ignore"):
             slots, flat = _slot_list(call(a, b)), _slot_list(call(flat_a, flat_b))
-        for k, (s, w) in enumerate(zip(slots, flat)):
-            assert isinstance(s, np.ndarray) and s.shape == (4, 5)
-            assert s.flags.writeable
-            assert s.tobytes() == w.tobytes()
-            for other in [a, b] + slots[:k]:
-                assert not np.shares_memory(s, other)
+        for s, w in zip(slots, flat):
+            assert np.broadcast_shapes(np.shape(s), (4, 5)) == (4, 5)
+            assert (np.broadcast_to(s, (4, 5)).tobytes()
+                    == np.broadcast_to(w, (20,)).tobytes())
+    assert (a.tobytes(), b.tobytes()) == inputs
     # a float coordinate broadcasts too
     row = _slot_list(factor.jet(float(a[1, 0]), b))
-    assert [s.shape for s in row] == [(1, 5)] * 6
-    assert [s.tobytes() for s in row] == [s[1:2].tobytes()
-                                           for s in _slot_list(factor.jet(a, b))]
+    assert ([np.broadcast_to(s, (1, 5)).tobytes() for s in row]
+            == [np.broadcast_to(s, (4, 5))[1:2].tobytes()
+                for s in _slot_list(factor.jet(a, b))])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lorentz2d import analysis
 from lorentz2d.cli import main
 
 OMEGA1_NULL_PRINTED = "exp(x + t)*exp(x - t)*(exp(x + t) - 0.25*exp(x - t))^(-2)"
@@ -427,6 +428,24 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     rc = main([*argv, "--out", str(tmp_path / "missing" / "r.out")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--omega", "1", "--target", "0"],
+    ["contour", "--omega", "1", "--levels", "1"],
+])
+def test_grid_too_large_to_allocate_exits_2(monkeypatch, capsys, argv):
+    # ``--grid 100000x100000`` used to end in numpy's _ArrayMemoryError
+    # traceback with exit 1, the code of a failed claim
+    def sample_grid(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with "
+                          "shape (100000, 100000) and data type float64")
+
+    monkeypatch.setattr(analysis, "sample_grid", sample_grid)
+    assert main([*argv, "--grid", "100000x100000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 74.5 GiB for an array with "
+        "shape (100000, 100000) and data type float64\n")
 
 
 # Option text: half of it valid, the rest any float repr (nan and inf
