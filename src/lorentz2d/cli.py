@@ -201,8 +201,9 @@ def _resolve_domain(args: argparse.Namespace, factor):
 def _describe(factor) -> str:
     if factor.expression is not None:
         return unparse(factor.expression)
-    prov = factor.provenance
-    return json.dumps({"family": prov.family, **prov.parameters})
+    # a compactified factor's parameters hold its inner factor's provenance
+    return json.dumps(factor.provenance,
+                      default=lambda prov: {"family": prov.family, **prov.parameters})
 
 
 def _verify(args: argparse.Namespace, factor, domain):

@@ -19,24 +19,28 @@ and ``l`` (integration variable).  ``pi`` and ``e`` are keywords for the
 usual constants.  Functions: exp log sin cos tan sec sinh cosh tanh sech
 sqrt atan abs.
 
-One tree compiler turns a formula into closures over one of the three
-algebras of ``jets``: values, univariate Taylor jets (f, f', f'') and
-``Jet2``.  The algebras share each elementary function's value rule and
-the one power rule, so a jet's value slot is bit-identical to the plain
-evaluation.  Every node's output is checked for finiteness once: a jet
-operation checks the slots it builds, and the compiler checks each value.
-One location wrapper reports a failure on floats at the innermost node
-that failed, with the point.  ``evaluate`` accepts bindings to plain
-floats or to ``Jet2`` seeds.  Bindings may hold numpy arrays of cell
-coordinates: the same code then evaluates every cell at once, and a cell
-that fails comes back NaN (see ``jets``) where a float evaluation would
-raise ``DomainError``.
+One compiler turns a formula into a straight-line Python function over
+one of the three algebras of ``jets``: values, univariate Taylor jets (f,
+f', f'') and ``Jet2``.  The function's code is generated once per formula
+shape (the tree with its constants as slots) and algebra, and every
+formula of that shape binds its own constants to it.  The algebras share
+each elementary function's value rule and the one power rule, so a jet's
+value slot is bit-identical to the plain evaluation.  Every node's output
+is checked for finiteness once: a jet operation checks the slots it
+builds, and the compiled code checks each value.  A failure on floats is
+reported at the innermost node that failed, with the point.  ``evaluate``
+accepts bindings to plain floats or to ``Jet2`` seeds.  Bindings may hold
+numpy arrays of cell coordinates: the same code then evaluates every cell
+at once, and a cell that fails comes back NaN (see ``jets``) where a float
+evaluation would raise ``DomainError``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -338,11 +342,20 @@ def unparse(expression: Expression) -> str:
 # Evaluation
 #
 # An expression is compiled once, for one algebra of ``jets`` (values,
-# univariate Taylor jets or Jet2), into nested closures, one per node; the
-# closures are then called with the bindings.  Factories compile their
-# formulas when they are built.
+# univariate Taylor jets or Jet2), into one straight-line Python function,
+# which is then called with the bindings.  Formulas of one shape share that
+# function's code: a shape is the tree with every constant replaced by a
+# slot (pow exponents, functions, operators and variables stay), and
+# ``_SHAPES`` keeps the code generated per (shape, algebra), up to
+# ``_SHAPE_LIMIT`` of them, the oldest dropped first.  A compile walks the
+# tree once and binds the formula's constants and nodes to the shared code.
+# Factories compile their formulas when they are built.
 
-_INF = math.inf
+_SHAPE_LIMIT = 256
+_SHAPES: dict = {}
+_SHAPES_LOCK = threading.Lock()
+# the only rules written inline: exactly the value algebra's own add, sub, mul
+_INFIX = {operator.add: "+", operator.sub: "-", operator.mul: "*"}
 
 
 def evaluate(expression: Expression, bindings: Mapping[str, float | Jet2]):
@@ -371,8 +384,19 @@ def evaluate(expression: Expression, bindings: Mapping[str, float | Jet2]):
 def compile_expression(expression: Expression, algebra: jets.Algebra = jets.VALUES):
     """``fn(bindings)`` evaluating ``expression`` in ``algebra`` (one of
     ``jets.VALUES``, ``jets.TAYLOR`` and ``jets.JET2``), as ``evaluate``
-    does."""
-    return _compile(expression, algebra)
+    does: the code generated for the formula's shape, bound to the
+    formula's own constants and nodes."""
+    constants, nodes = [], []
+    key = (_shape(expression, constants, nodes), algebra)
+    make = _SHAPES.get(key)
+    if make is None:
+        make = _generate(key[0], algebra)
+        with _SHAPES_LOCK:
+            while len(_SHAPES) >= _SHAPE_LIMIT:
+                del _SHAPES[next(iter(_SHAPES))]
+            _SHAPES[key] = make
+    lift = algebra.lift
+    return make(nodes, *[lift(c) for c in constants])
 
 
 def _point_of(bindings) -> dict | None:
@@ -389,7 +413,7 @@ def constant_value(expression: Expression) -> float:
     """Value of a variable-free expression."""
     if free_variables(expression):
         raise ValueError("expression is not constant")
-    return _compile(expression, jets.VALUES)({})
+    return compile_expression(expression)({})
 
 
 def _exponent_value(node: Expression) -> float:
@@ -398,57 +422,103 @@ def _exponent_value(node: Expression) -> float:
     return constant_value(node)
 
 
-def _compile(expression: Expression, algebra: jets.Algebra):
-    """The one tree compiler: ``expression`` as closures over ``algebra``."""
+def _shape(expression: Expression, constants: list, nodes: list):
+    """The shape key of ``expression``: None for a constant, a variable's
+    name, and per operation a tuple (of one item for a negation, two for a
+    call, three for a binary operation or a pow with its exponent).
+    Appends the constants and the located (binary and call) nodes in
+    evaluation order."""
     match expression:
         case Constant(value):
-            constant = algebra.lift(value)
-            return lambda bindings: constant
+            constants.append(value)
+            return None
         case Variable(name):
-            lift = algebra.lift
-
-            def variable(bindings):
-                try:
-                    v = bindings[name]
-                except KeyError:
-                    raise ValueError(f"unbound variable {name!r}") from None
-                return lift(v)
-
-            return variable
+            return name
         case Unary(_, child):
-            inner, neg = _compile(child, algebra), algebra.neg
-            return lambda bindings: neg(inner(bindings))
+            return (_shape(child, constants, nodes),)
         case Binary("pow", left, right):
-            return _located(expression, jets.power(algebra, _exponent_value(right)),
-                            algebra.finite, _compile(left, algebra))
+            key = ("pow", _exponent_value(right), _shape(left, constants, nodes))
         case Binary(op, left, right):
-            return _located(expression, getattr(algebra, op), algebra.finite,
-                            _compile(left, algebra), _compile(right, algebra))
+            key = (op, _shape(left, constants, nodes), _shape(right, constants, nodes))
         case Call(fn, arg):
-            return _located(expression, jets.elementary(algebra, fn),
-                            algebra.finite, _compile(arg, algebra))
-    raise TypeError(f"not an expression node: {expression!r}")
+            key = (fn, _shape(arg, constants, nodes))
+        case _:
+            raise TypeError(f"not an expression node: {expression!r}")
+    nodes.append(expression)
+    return key
 
 
-def _located(node: Expression, apply, finite, first, second=None):
-    """The one location wrapper: ``apply`` on the outputs of the operand
-    closures ``first`` (and ``second``), its output checked by the
-    algebra's ``finite`` (values; a jet operation checks the slots it
-    builds), and a failure on floats reported at ``node`` unless an inner
-    node already claimed it."""
+def _generate(shape, algebra: jets.Algebra):
+    """``make(nodes, *constants)``, the factory of the function of
+    ``shape`` in ``algebra``: straight-line code in evaluation order
+    (post-order, left then right), one stack slot per depth, a right
+    operand released once used.  Before a located node is applied, the
+    local ``i`` is set to its index, so that a failure on floats is claimed
+    by the innermost failing node.  Constants, rules and variable names
+    are bound, never written into the source."""
+    env = {"DomainError": DomainError, "point_of": _point_of,
+           "lift": algebra.lift, "finite": algebra.finite}
+    lines, names = [], []   # names: the variables in the order first read
+    n_constants = n_located = 0
 
-    def located(bindings):
-        try:
-            if second is None:
-                result = apply(first(bindings))
-            else:
-                result = apply(first(bindings), second(bindings))
-            if finite is None or (result.__class__ is float and -_INF < result < _INF):
-                return result   # a jet, or a finite float: kept fast
-            return finite(result)
-        except DomainError as err:
-            if err.node is None:
-                err = DomainError(err.message, node, _point_of(bindings))
-            raise err from None
+    def bound(obj) -> str:
+        name = f"g{len(env)}"
+        env[name] = obj
+        return name
 
-    return located
+    def emit(key, p: int) -> str:
+        """Append the lines computing ``key`` in stack slot ``p`` (or
+        above); return the text of its value."""
+        nonlocal n_constants, n_located
+        if key is None:
+            n_constants += 1
+            return f"c{n_constants - 1}"
+        if key.__class__ is not tuple:   # a variable, read at its first use
+            if key not in names:
+                lines.append(f"v{len(names)} = lift(bindings[{bound(key)}])")
+                names.append(key)
+            return f"v{names.index(key)}"
+        if len(key) == 1:
+            neg = "-" if algebra.neg is operator.neg else bound(algebra.neg)
+            lines.append(f"s{p} = {neg}({emit(key[0], p)})")
+            return f"s{p}"
+        right = None
+        if key[0] == "pow":
+            call = f"{bound(jets.power(algebra, key[1]))}({emit(key[2], p)})"
+        elif len(key) == 2:
+            call = f"{bound(jets.elementary(algebra, key[0]))}({emit(key[1], p)})"
+        else:
+            rule, left = getattr(algebra, key[0]), emit(key[1], p)
+            right = emit(key[2], p + 1 if left == f"s{p}" else p)
+            call = (f"{left} {_INFIX[rule]} {right}" if rule in _INFIX
+                    else f"{bound(rule)}({left}, {right})")
+        lines.extend([f"i = {n_located}", f"s{p} = {call}"])
+        n_located += 1
+        if right == f"s{p + 1}":
+            lines.append(f"del {right}")
+        if algebra.finite is not None:   # a finite float passes fast (1e400 reads as inf)
+            lines.append(f"if not (s{p}.__class__ is float and -1e400 < s{p} < 1e400):"
+                         f" s{p} = finite(s{p})")
+        return f"s{p}"
+
+    result = emit(shape, 0)
+    body = lines + [f"return {result}"]
+    handlers = []
+    if n_located:
+        handlers += ["except DomainError as err:",
+                     "    if err.node is None:",
+                     "        err = DomainError(err.message, nodes[i], point_of(bindings))",
+                     "    raise err from None"]
+    if names:
+        handlers += ["except KeyError:",
+                     f"    for name in {bound(tuple(names))}:",
+                     "        if name not in bindings:",
+                     "            raise ValueError(f'unbound variable {name!r}') from None",
+                     "    raise"]
+    if handlers:
+        body = ["try:", *("    " + line for line in body), *handlers]
+    constants = "".join(f", c{j}" for j in range(n_constants))
+    source = "\n".join([f"def make(nodes{constants}):", "    def fn(bindings):",
+                        *("        " + line for line in body), "    return fn"])
+    exec(compile(source, "<formula shape>", "exec"), env)
+    return env["make"]

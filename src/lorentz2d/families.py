@@ -346,7 +346,10 @@ def spacelike_factor(d1: float, d2: float, target: float) -> ConformalFactor:
 
 _CHEB_N = 16
 _BASE_WIDTH = 0.5      # the first panel on each side of the reference
-_BATCH = 8             # panels sampled by one integrand call
+# the panels one integrand call samples past a resolved panel: a run of
+# doubling widths, then constant-width runs after its first and second panels
+_RUNS = (4, 3, 1)
+_BATCH = sum(_RUNS)    # panels sampled by one integrand call
 _NOISE = _CHEB_N * float(np.finfo(float).eps)
 
 
@@ -404,7 +407,6 @@ class _Side(NamedTuple):
     edge: float                 # outer end of the accepted panels
     width: float                # width of the next panel to try
     halvings: int = 0           # halvings already spent at ``edge``
-    grow: bool = True           # the last panel resolved with margin
     panels: tuple = ()          # rows as read by ``_panel_value``
     failure: EvaluationError | None = None
 
@@ -543,19 +545,26 @@ class Antiderivative:
 
     def _grow(self, side: _Side) -> _Side:
         """``side`` after one integrand call on a batch of panels that
-        guesses the walk ahead: after a resolved panel, panels that resolve
-        as it did; after a failed one, the same panel halved again and
-        again.  The walk takes the sampled panels only while each is the
-        one it would try next, so the table depends on nothing but the
-        integrand, ``tol``, ``max_depth`` and how far it reaches."""
-        d = side.sign
-        guesses, e, w = [], side.edge, side.width
-        for _ in range(_BATCH):
-            guesses.append((e, w))
-            if side.halvings:
+        guesses the walk ahead: after a resolved panel, the runs of
+        ``_RUNS``; after a failed one, the same panel halved again and
+        again.  The walk takes each panel it would try next while that
+        panel was sampled, looked up by (edge, width), so the table depends
+        on nothing but the integrand, ``tol``, ``max_depth`` and how far it
+        reaches."""
+        d, e, w = side.sign, side.edge, side.width
+        guesses = [(e, w)]
+        if side.halvings:
+            for _ in range(_BATCH - 1):
                 w = 0.5 * w
-            else:
-                e, w = e + d * w, 2.0 * w if side.grow else w
+                guesses.append((e, w))
+        else:
+            for _ in range(_RUNS[0] - 1):
+                e, w = e + d * w, 2.0 * w
+                guesses.append((e, w))
+            for (e, w), n in list(zip(guesses, _RUNS[1:])):
+                for _ in range(n):
+                    e = e + d * w
+                    guesses.append((e, w))
         starts, widths = np.array(guesses).T
         ends = starts + d * widths
         mid = 0.5 * (starts + ends)
@@ -583,16 +592,16 @@ class Antiderivative:
             small = np.abs(c) <= noise[:, None]
             c = np.where(np.logical_and.accumulate(small[:, ::-1], axis=1)[:, ::-1], 0.0, c)
         mean = (c @ _MEAN[d].T).tolist()
-        for i, (e, w) in enumerate(guesses):
-            if side.failure is not None or (e, w) != (side.edge, side.width):
-                break
+        sampled = {g: i for i, g in enumerate(guesses)}
+        while side.failure is None and (side.edge, side.width) in sampled:
+            e, w = side.edge, side.width
+            i = sampled.pop((e, w))
             b = e + d * w
             if resolved[i]:
                 base = _panel_value(side.panels[-1], e) if side.panels else 0.0
                 row = (min(e, b), e, base, float(mid[i]), 1.0 / float(half[i]),
                        mean[i][0], tuple(mean[i][:0:-1]))
-                side = _Side(d, b, 2.0 * w if margin[i] else w, 0, bool(margin[i]),
-                             side.panels + (row,))
+                side = _Side(d, b, 2.0 * w if margin[i] else w, 0, side.panels + (row,))
             elif side.halvings < self.max_depth:
                 side = side._replace(width=0.5 * w, halvings=side.halvings + 1)
             else:

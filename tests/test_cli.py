@@ -126,6 +126,22 @@ def test_compactify_null_chart_factor_passes(capsys):
     assert "PASS" in out
 
 
+def test_compactify_liouville_family_prints_nested_provenance(capsys):
+    # a factor without a closed form is described by its provenance, and a
+    # compactified one nests its inner factor's: this died with "Object of
+    # type Provenance is not JSON serializable"
+    rc = main(["compactify", "--family", "liouville", "--phi", "sin(l)", "--psi", "l",
+               "--R", "-1", "--C", "3", "--grid", "20x20"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    described = json.loads(out.splitlines()[0].removeprefix("factor: "))
+    assert described["family"] == "compactified"
+    assert described["inner"] == {"family": "liouville", "phi": "sin(l)", "psi": "l",
+                                  "k": 1.0, "C": 3.0, "R": -1.0,
+                                  "antiderivative": "shifted", "reference": 0.0}
+    assert "PASS" in out
+
+
 def test_compactify_strip_factor_is_domain_failure(capsys):
     rc = main(["compactify", "--family", "timelike", "--c1", "-4", "--R", "2"])
     err = capsys.readouterr().err

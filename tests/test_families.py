@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorentz2d import families
 from lorentz2d.charts import Rectangle, diamond, full_plane
 from lorentz2d.curvature import fd_ricci_oracle, ricci_from_omega
 from lorentz2d.errors import (
@@ -331,6 +332,39 @@ def test_antiderivative_panel_count_depends_only_on_span():
     tight = Antiderivative("exp(sin(l))", tol=1e-15)
     tight.value(np.array([min(points), max(points)]))
     assert tight.n_panels >= whole.n_panels
+
+
+@pytest.mark.parametrize("source", ["exp(0.1*l + 0.05*l^3)", "exp(sin(5*l))",
+                                    "1/(l^2 + 0.01)"])
+def test_antiderivative_table_does_not_depend_on_the_batch_guesses(monkeypatch, source):
+    # the walk takes only the panels it would try next, however the batch
+    # guessed them: the tables agree panel for panel as far as both reach
+    s = np.linspace(-3.0, 3.0, 241)
+    tables = {}
+    for runs in [(4, 3, 1), (8, 0, 0), (1, 7, 0), (2, 2, 4)]:
+        monkeypatch.setattr(families, "_RUNS", runs)
+        F = Antiderivative(source, tol=1e-12)
+        tables[runs] = F.value(s), F._table.left.panels, F._table.right.panels
+    values, left, right = tables.pop((4, 3, 1))
+    for other, other_left, other_right in tables.values():
+        np.testing.assert_array_equal(other, values)
+        for mine, theirs in ((left, other_left), (right, other_right)):
+            n = min(len(mine), len(theirs))
+            assert n > 0 and mine[:n] == theirs[:n]
+
+
+def test_a_fresh_side_that_stops_doubling_takes_one_integrand_call(monkeypatch):
+    # the panels of widths 0.5 and 1 resolve, the second without margin, so
+    # the walk goes on at width 1: one batch guesses that as well
+    calls = []
+    grow = Antiderivative._grow
+    monkeypatch.setattr(Antiderivative, "_grow",
+                        lambda self, side: calls.append(side) or grow(self, side))
+    F = Antiderivative("exp(0.119164*sin(l) + 0.082706*cos(l))", tol=1e-12)
+    F.value(2.0)
+    widths = [row[4] for row in F._table.right.panels]   # 1/half-width
+    assert widths[:3] == [4.0, 2.0, 2.0]
+    assert len(calls) == 1
 
 
 def test_antiderivative_panels_are_built_on_demand():
