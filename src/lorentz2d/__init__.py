@@ -42,7 +42,6 @@ from .charts import (
     Rectangle,
     Region,
     compactify,
-    diamond,
     from_null,
     full_plane,
     interval_field,
@@ -131,7 +130,6 @@ __all__ = [
     "Variable",
     "compactify",
     "constancy_report",
-    "diamond",
     "einstein_residual",
     "evaluate",
     "export",

@@ -136,8 +136,10 @@ def sample_grid(factor, domain=None, resolution: tuple[int, int] = (50, 50),
 
     ``domain`` defaults to the factor's own domain and must be bounded.
     With ``with_ricci`` the factor is evaluated as a jet and the scalar
-    curvature stored; without it only values are computed (cheaper for
-    contour work).
+    curvature stored, and a cell whose curvature is not finite is a
+    domain error (NaN Omega, R and s^2), so that every valid cell holds a
+    finite R; without it only values are computed (cheaper for contour
+    work).
     """
     domain = domain if domain is not None else factor.domain
     t0, t1, x0, x1 = domain.bbox()
@@ -188,8 +190,11 @@ def sample_grid(factor, domain=None, resolution: tuple[int, int] = (50, 50),
             code = np.full(np.broadcast_shapes(a.shape, b.shape), VALID, dtype=np.int8)
             if with_ricci:
                 w = factor.jet(a, b, code)
-                om = w.value
-                ricci[cells] = scalar_from_factor_jet(w, chart)
+                ricci[cells] = r = scalar_from_factor_jet(w, chart)
+                # R is NaN where Omega failed and where R alone is not
+                # finite: both are domain errors
+                failed = np.isnan(r)
+                om = np.where(failed, np.nan, w.value) if failed.any() else w.value
             else:
                 om = factor.value(a, b, code)
             code[np.isnan(om) & (code == VALID)] = DOMAIN_ERROR
@@ -275,11 +280,10 @@ class LevelSet:
     of ``extract_level_sets`` are views into one array per call, and a
     hand-built one may be any sequence of (t, x) pairs.  ``n_pruned``
     counts the crossing edges whose vertex was dropped, ``max_residual``
-    is the largest |s^2 - level| of a kept refined vertex (NaN if none, or
-    without refinement) and ``bisections`` the field evaluations that
-    refinement spent.  Level sets compare by identity (``==`` is ``is``):
-    to compare contents, compare ``[p.tolist() for p in ls.polylines]``
-    and the other fields."""
+    is the largest |s^2 - level| of a kept vertex (NaN if none) and
+    ``bisections`` the field evaluations that refinement spent.  Level
+    sets compare by identity (``==`` is ``is``): to compare contents,
+    compare ``[p.tolist() for p in ls.polylines]`` and the other fields."""
 
     level: float
     polylines: list
@@ -341,8 +345,16 @@ def _edge_ends(edges, n_t: int, n_x: int):
     return ia, ja, ia + vertical, ja + ~vertical
 
 
-def _refine(factor, level, t, x, pa, pb, fa, fb, target: float,
-            bound: float, max_bisections: int):
+# The refinement policy: a vertex bisects along its edge until
+# |s^2 - level| <= _REFINE_TARGET, for at most _MAX_BISECTIONS midpoints,
+# and is pruned when its best residual exceeds _RESIDUAL_BOUND, the bound
+# that acceptance criterion 10 holds every vertex to.
+_REFINE_TARGET = 1e-3
+_RESIDUAL_BOUND = 1e-2
+_MAX_BISECTIONS = 60
+
+
+def _refine(factor, level, t, x, pa, pb, fa, fb):
     """Locate s^2 = level on every crossing edge pa-pb at once.
 
     ``level`` holds each edge's level, so that the edges of all levels
@@ -351,9 +363,9 @@ def _refine(factor, level, t, x, pa, pb, fa, fb, target: float,
     (t, x) array pairs with exact field values ``fa``/``fb``; ``t``/``x``
     hold the linear guesses and are moved in place to the vertices.  An
     exact endpoint is kept as is; other edges bisect in lockstep until
-    |s^2 - level| meets ``target``, else keep their best point if within
-    ``bound``.  A NaN (failed) field value prunes its vertex.  Returns
-    (keep, residual, field evaluations per edge).
+    |s^2 - level| meets ``_REFINE_TARGET``, else keep their best point if
+    within ``_RESIDUAL_BOUND``.  A NaN (failed) field value prunes its
+    vertex.  Returns (keep, residual, field evaluations per edge).
     """
     hit_a = fa == level
     keep = hit_a | (fb == level)
@@ -365,7 +377,7 @@ def _refine(factor, level, t, x, pa, pb, fa, fb, target: float,
     pt_t, pt_x, lo_t, lo_x, hi_t, hi_x, flo, lev = (
         v[idx] for v in (t, x, *pa, *pb, fa, level))
     best_t, best_x, best_res = pt_t, pt_x, np.full(idx.size, np.inf)
-    for step in range(max(max_bisections, 0) + 1):   # the guess, then midpoints
+    for step in range(_MAX_BISECTIONS + 1):   # the guess, then midpoints
         if step:
             pt_t, pt_x = 0.5 * (lo_t + hi_t), 0.5 * (lo_x + hi_x)
         f = interval_field(factor, pt_t, pt_x)
@@ -374,7 +386,7 @@ def _refine(factor, level, t, x, pa, pb, fa, fb, target: float,
         better = res < best_res
         best_t, best_x = np.where(better, pt_t, best_t), np.where(better, pt_x, best_x)
         best_res = np.where(better, res, best_res)
-        done = res <= target
+        done = res <= _REFINE_TARGET
         t[idx[done]], x[idx[done]], residual[idx[done]] = pt_t[done], pt_x[done], res[done]
         keep[idx[done]] = True
         low = (flo < lev) == (f < lev)
@@ -387,27 +399,24 @@ def _refine(factor, level, t, x, pa, pb, fa, fb, target: float,
                                 best_t, best_x, best_res))
         if not idx.size:
             break
-    close = best_res <= bound
+    close = best_res <= _RESIDUAL_BOUND
     t[idx[close]], x[idx[close]] = best_t[close], best_x[close]
     residual[idx[close]] = best_res[close]
     keep[idx[close]] = True
     return keep, residual, evaluations
 
 
-def extract_level_sets(grid: SampleGrid, levels, refine: bool = True,
-                       residual_bound: float = 1e-2,
-                       refine_target: float = 1e-3,
-                       max_bisections: int = 60) -> list[LevelSet]:
+def extract_level_sets(grid: SampleGrid, levels) -> list[LevelSet]:
     """Marching-squares level sets of the interval field s^2.
 
-    Only cells whose four corners are all valid participate.  With
-    ``refine`` each emitted vertex is polished along its lattice edge by
-    bisection against the directly evaluated field until the residual
-    |s^2 - level| drops below ``refine_target``; vertices that cannot
-    reach ``residual_bound`` are pruned together with their segments.
-    The crossings of all levels refine together; each level's result is
-    the one it would get alone.  Polylines are chained deterministically
-    in scan order.
+    Only cells whose four corners are all valid participate.  Each
+    emitted vertex is polished along its lattice edge by bisection
+    against the directly evaluated field until the residual
+    |s^2 - level| is at most 1e-3, for at most 60 midpoints; a vertex
+    whose best residual exceeds 1e-2 is pruned together with its
+    segments.  The crossings of all levels refine together; each level's
+    result is the one it would get alone.  Polylines are chained
+    deterministically in scan order.
     """
     s2 = grid.s2
     n_t, n_x = s2.shape
@@ -439,12 +448,8 @@ def extract_level_sets(grid: SampleGrid, levels, refine: bool = True,
         fa, fb = s2[ia, ja], s2[ib, jb]
         theta = (edge_levels - fa) / (fb - fa)
         t, x = pa[0] + theta * (pb[0] - pa[0]), pa[1] + theta * (pb[1] - pa[1])
-        keep, residual = np.ones(keys.size, dtype=bool), np.full(keys.size, np.nan)
-        evaluations = np.zeros(keys.size, dtype=np.intp)
-        if refine:
-            keep, residual, evaluations = _refine(
-                grid.factor, edge_levels, t, x, pa, pb, fa, fb, refine_target,
-                residual_bound, max_bisections)
+        keep, residual, evaluations = _refine(grid.factor, edge_levels, t, x,
+                                              pa, pb, fa, fb)
     ends = np.searchsorted(keys, segments)   # segment ends as crossing indices
     path, starts = _chain_segments(ends[keep[ends].all(axis=1)])
     vertices = np.stack([t[path], x[path]], axis=1)

@@ -13,11 +13,13 @@ with the matching conformal rescaling.  The map is diagonal between the
 null charts, so the jet is assembled there, as a Liouville factor's is;
 a factor written in (u, v) enters it without a change of chart.
 
-Domains are open point sets with a bounding box; membership uses strict
-inequalities so that boundary points (where compact factors blow up)
-are never sampled as interior.  ``contains`` takes floats or arrays of
-cell centres that broadcast against each other (then it returns a
-boolean array of their broadcast shape).
+Domains are open point sets that answer two questions: ``contains``
+and ``bbox``.  Membership uses strict inequalities so that boundary
+points (where compact factors blow up) are never sampled as interior.
+``contains`` takes floats or arrays of cell centres that broadcast
+against each other (then it returns a boolean array of their broadcast
+shape).  ``bbox`` is (t_min, t_max, x_min, x_max); a domain is bounded
+when all four are finite, and the whole plane is ``full_plane()``.
 """
 
 from __future__ import annotations
@@ -67,15 +69,6 @@ class Rectangle:
     def bbox(self) -> tuple[float, float, float, float]:
         return (self.t_min, self.t_max, self.x_min, self.x_max)
 
-    @property
-    def is_bounded(self) -> bool:
-        return all(math.isfinite(v) for v in self.bbox())
-
-    @property
-    def is_full_plane(self) -> bool:
-        return (self.t_min == -math.inf and self.t_max == math.inf
-                and self.x_min == -math.inf and self.x_max == math.inf)
-
 
 @dataclass(frozen=True)
 class Diamond:
@@ -89,14 +82,6 @@ class Diamond:
     def bbox(self) -> tuple[float, float, float, float]:
         w = self.half_width
         return (-w, w, -w, w)
-
-    @property
-    def is_bounded(self) -> bool:
-        return math.isfinite(self.half_width)
-
-    @property
-    def is_full_plane(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -120,24 +105,12 @@ class Region:
     def bbox(self) -> tuple[float, float, float, float]:
         return self.bounds
 
-    @property
-    def is_bounded(self) -> bool:
-        return all(math.isfinite(v) for v in self.bounds)
-
-    @property
-    def is_full_plane(self) -> bool:
-        return False
-
 
 Domain = Union[Rectangle, Diamond, Region]
 
 
 def full_plane() -> Rectangle:
     return Rectangle(-math.inf, math.inf, -math.inf, math.inf)
-
-
-def diamond(half_width: float = math.pi) -> Diamond:
-    return Diamond(half_width)
 
 
 def to_null(t: float, x: float) -> tuple[float, float]:
@@ -164,7 +137,7 @@ def compactify(factor) -> "ConformalFactor":
     if factor.chart not in ("tx", "uv"):
         raise ValueError(
             f"compactify expects a standard- or null-chart factor, got chart {factor.chart!r}")
-    if not (isinstance(factor.domain, Rectangle) and factor.domain.is_full_plane):
+    if factor.domain != full_plane():
         raise DomainError(
             "compactify requires a factor defined on the whole plane; "
             f"this factor lives on {factor.domain!r}")

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands:
+Subcommands, each taking only the flags its handler reads
+(``_SUBCOMMANDS``):
 
 * ``check``       sample a factor's curvature and compare to a target
                   (``--out`` writes the JSON report or the CSV grid);
@@ -18,12 +19,13 @@ argparse is the one reader of options.  Each entry of a ``--config``
 JSON object is read as the flag ``--key=value`` placed before the
 command line's own flags, so explicit flags win and both go through the
 same checks (``{"family": "timelike", "c1": -4, "R": 2, "grid":
-"50x50"}``).  A key is a long flag name in full (``raw_antiderivative``
-may use ``_``); ``true`` stands for a bare flag, ``false`` and ``null``
-for its absence, and ``grid`` and ``levels`` may also be lists
-(``[50, 50]``, ``[-1, 1]``).  Every number must be finite, and a flag
-must be spelled in full: anything else exits 2.  Note shell-parsing of
-negative level lists: write ``--levels="-1,-0.5,0.5,1"``.
+"50x50"}``).  A key is one of the subcommand's own long flag names in
+full (``raw_antiderivative`` may use ``_``); ``true`` stands for a bare
+flag, ``false`` and ``null`` for its absence, and ``grid`` and
+``levels`` may also be lists (``[50, 50]``, ``[-1, 1]``).  Every number
+must be finite, and a flag must be spelled in full: anything else exits
+2.  Note shell-parsing of negative level lists: write
+``--levels="-1,-0.5,0.5,1"``.
 Every code path is deterministic.
 """
 
@@ -88,55 +90,50 @@ def _domain(text: str):
     return charts.Rectangle(t0, t1, x0, x1)
 
 
+_OPTIONS = {
+    "family": dict(choices=FAMILIES),
+    "omega": dict(help="explicit factor formula in t,x or u,v"),
+    "phi": {}, "psi": {},
+    "c1": dict(type=_number), "c2": dict(type=_number, default=0.0),
+    "d1": dict(type=_number), "d2": dict(type=_number, default=0.0),
+    "k": dict(type=_number, default=1.0), "C": dict(type=_number, default=0.0),
+    "R": dict(type=_number), "raw-antiderivative": dict(action="store_true"),
+    "target": dict(type=_number, help="target curvature (defaults to the family's R)"),
+    "domain": dict(type=_domain, help="rect:t0,t1,x0,x1 or diamond"),
+    "grid": dict(type=_grid, default=(50, 50), help="NxM cell counts (default 50x50)"),
+    "tol": dict(type=_number, default=1e-6, help="pass tolerance (default 1e-6)"),
+    "levels": dict(type=_levels, help="comma-separated s^2 levels"),
+}
+_PARAMETERS = ("--phi", "--psi", "--c1", "--c2", "--d1", "--d2", "--k", "--C", "--R",
+               "--raw-antiderivative")
+# Each subcommand registers only the options its handler reads, so any
+# other is refused with exit 2: (name, help, formats it writes, options).
+_SUBCOMMANDS = (
+    ("check", "compare sampled curvature to a target", ("json", "csv"),
+     ("--family", "--omega", *_PARAMETERS, "--target", "--domain", "--grid", "--tol")),
+    ("family", "print a family factor descriptor", ("csv",),
+     ("family", *_PARAMETERS, "--domain", "--grid")),
+    # compactify always samples the whole diamond
+    ("compactify", "check a factor pulled back to the diamond", ("json", "csv", "svg"),
+     ("--family", "--omega", *_PARAMETERS, "--target", "--grid", "--tol", "--levels")),
+    ("contour", "constant-interval level sets of a factor", ("svg", "csv"),
+     ("--family", "--omega", *_PARAMETERS, "--domain", "--grid", "--levels")),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lorentz2d", allow_abbrev=False,
         description="Constant-curvature conformal factors on 2D Minkowski "
                     "space: curvature checks and diagram data.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_subcommand(name, summary, formats, with_family_flag=True,
-                       with_domain=True):
+    for name, summary, formats, options in _SUBCOMMANDS:
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        if with_family_flag:
-            p.add_argument("--family", choices=FAMILIES)
-        else:
-            p.add_argument("family", choices=FAMILIES)
-        p.add_argument("--omega", help="explicit factor formula in t,x or u,v")
-        p.add_argument("--phi")
-        p.add_argument("--psi")
-        p.add_argument("--c1", type=_number)
-        p.add_argument("--c2", type=_number, default=0.0)
-        p.add_argument("--d1", type=_number)
-        p.add_argument("--d2", type=_number, default=0.0)
-        p.add_argument("--k", type=_number, default=1.0)
-        p.add_argument("--C", type=_number, default=0.0)
-        p.add_argument("--R", type=_number)
-        p.add_argument("--raw-antiderivative", action="store_true",
-                       dest="raw_antiderivative")
-        p.add_argument("--target", type=_number,
-                       help="target curvature (defaults to the family's R)")
-        if with_domain:
-            p.add_argument("--domain", type=_domain,
-                           help="rect:t0,t1,x0,x1 or diamond")
-        p.add_argument("--grid", type=_grid, default=(50, 50),
-                       help="NxM cell counts (default 50x50)")
-        p.add_argument("--tol", type=_number, default=1e-6,
-                       help="pass tolerance (default 1e-6)")
-        p.add_argument("--levels", type=_levels, help="comma-separated s^2 levels")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option.lstrip("-")])
         p.add_argument("--out", help="output file path")
         p.add_argument("--format", choices=formats)
         p.add_argument("--config", help="JSON file with defaults for these flags")
-
-    add_subcommand("check", "compare sampled curvature to a target",
-                   ("json", "csv"))
-    add_subcommand("family", "print a family factor descriptor", ("csv",),
-                   with_family_flag=False)
-    # compactify always samples the whole diamond
-    add_subcommand("compactify", "check a factor pulled back to the diamond",
-                   ("json", "csv", "svg"), with_domain=False)
-    add_subcommand("contour", "constant-interval level sets of a factor",
-                   ("svg", "csv"))
     return parser
 
 
@@ -166,9 +163,11 @@ def _config_flags(path: str) -> list[str]:
 
 
 def _build_factor(args: argparse.Namespace) -> families.ConformalFactor:
-    if args.omega is not None:
-        return families.factor_from_expression(args.omega,
-                                               claimed_curvature=args.target)
+    # ``family`` takes no --omega, and ``family`` and ``contour`` no --target
+    omega = getattr(args, "omega", None)
+    if omega is not None:
+        return families.factor_from_expression(
+            omega, claimed_curvature=getattr(args, "target", None))
     family = args.family
     if family is None:
         raise _UsageError("pass --omega or --family (or a family name)")
@@ -193,7 +192,7 @@ def _build_factor(args: argparse.Namespace) -> families.ConformalFactor:
 def _resolve_domain(args: argparse.Namespace, factor):
     if args.domain is not None:
         return args.domain
-    if factor.domain.is_bounded:
+    if all(map(math.isfinite, factor.domain.bbox())):
         return factor.domain
     return DEFAULT_DOMAIN
 

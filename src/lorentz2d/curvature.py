@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import expressions, families
+from . import expressions, families, jets
 from .errors import EvaluationError, NonPositiveFactor, StencilOutsideDomain
 from .jets import Jet2
 
@@ -67,16 +67,22 @@ def scalar_from_factor_jet(w: Jet2, chart: str = "tx") -> float:
     ``chart`` "tx" (or "compact") uses the standard-coordinate formula;
     "uv" uses the null-coordinate one.  Slots may be arrays; a cell whose
     Omega^3 underflows to 0 raises ZeroDivisionError as a float would
-    (NaN cells are skipped).
+    (NaN cells are skipped).  R itself must be finite: a float raises
+    ``DomainError`` (``jets.finite``), an array cell becomes NaN.
     """
     cube = w.value * w.value * w.value
     if isinstance(cube, np.ndarray) and (cube == 0.0).any():
         raise ZeroDivisionError("float division by zero")
     if chart == "uv":
-        return -4.0 * (w.value * w.dtx - w.dt * w.dx) / cube
-    # no negated slot: on a failed (all-NaN) cell every step keeps the NaN
-    # positive, whichever operand numpy's loops pass first
-    return (w.dx * w.dx - w.dt * w.dt + w.value * (w.dtt - w.dxx)) / cube
+        r = -4.0 * (w.value * w.dtx - w.dt * w.dx) / cube
+    else:
+        # no negated slot: on a failed (all-NaN) cell every step keeps the
+        # NaN positive, whichever operand numpy's loops pass first
+        r = (w.dx * w.dx - w.dt * w.dt + w.value * (w.dtt - w.dxx)) / cube
+    if r.__class__ is float:
+        return jets.finite(r, "non-finite scalar curvature (overflow)")
+    # array rules (numpy scalars included): an infinite R becomes NaN
+    return r if np.isfinite(r).all() else np.where(np.isinf(r), np.nan, r)
 
 
 def ricci_from_omega(field, point: Point) -> float:

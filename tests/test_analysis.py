@@ -234,15 +234,6 @@ def test_level_set_absent_level_is_empty():
     assert extract_level_sets(grid, []) == []
 
 
-def test_level_set_without_refinement():
-    grid = _hyperbola_grid()
-    (ls,) = extract_level_sets(grid, [1.0], refine=False)
-    assert len(ls.polylines) == 2
-    for poly in ls.polylines:
-        for t, x in poly:
-            assert abs((x * x - t * t) - 1.0) <= 0.05
-
-
 def test_level_set_extraction_is_deterministic():
     grid = _hyperbola_grid(resolution=(40, 40))
     first = extract_level_sets(grid, [1.0, -1.0])

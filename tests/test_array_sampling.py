@@ -106,7 +106,6 @@ def reference_grid(factor, domain, resolution, with_ricci):
 
 
 def assert_ricci_close(got, want, floor):
-    # a valid cell can hold a non-finite R; it must then be the same one
     same = (got == want) | (np.isnan(got) & np.isnan(want))
     diff = np.where(same, 0.0, np.abs(got - want))
     bound = np.fmax(RICCI_ATOL, FLOOR_MULTIPLE * floor)
@@ -124,6 +123,8 @@ def assert_matches_reference(factor, domain, resolution, with_ricci):
     np.testing.assert_allclose(grid.omega[valid], omega[valid], rtol=OMEGA_RTOL, atol=0)
     if with_ricci:
         assert np.all(np.isnan(grid.ricci[~valid]))
+        # a cell whose R is not finite is a domain error, never valid
+        assert np.all(np.isfinite(grid.ricci[valid]))
         assert_ricci_close(grid.ricci[valid], ricci[valid], floor[valid])
     else:
         assert np.all(np.isnan(grid.ricci))
@@ -300,8 +301,9 @@ def gathered_grid(factor, domain, resolution, with_ricci, block=4096):
             code = np.full(cells.size, VALID, dtype=np.int8)
             if with_ricci:
                 w = factor.jet(a, b, code)
-                om = w.value
-                ricci_c[cells] = scalar_from_factor_jet(w, factor.chart)
+                ricci_c[cells] = r = scalar_from_factor_jet(w, factor.chart)
+                failed = np.isnan(r)
+                om = np.where(failed, np.nan, w.value) if failed.any() else w.value
             else:
                 om = factor.value(a, b, code)
             code[np.isnan(om) & (code == VALID)] = DOMAIN_ERROR
@@ -484,6 +486,8 @@ def test_random_formulas_classify_like_the_reference(tree, with_ricci, chart, bo
             sample_grid(factor, box, (9, 11), with_ricci=with_ricci)
         return
     grid = sample_grid(factor, box, (9, 11), with_ricci=with_ricci)
+    if with_ricci:
+        assert np.all(np.isfinite(grid.ricci[grid.status == VALID]))
     # Where the two differ, the sign of Omega must have been decided by
     # rounding: numpy's transcendental functions and math's differ in the
     # last bit, and e.g. cosh(t) - 1 cancels to +-1e-16.

@@ -15,7 +15,6 @@ from lorentz2d.charts import (
     Rectangle,
     Region,
     compactify,
-    diamond,
     from_null,
     full_plane,
     interval_field,
@@ -68,22 +67,21 @@ def test_rectangle_is_open():
     assert not box.contains(0.0, 2.0)
     assert not box.contains(0.0, -2.0)
     assert box.bbox() == (-1.0, 1.0, -2.0, 2.0)
-    assert box.is_bounded
-    assert not box.is_full_plane
+    assert box != full_plane()
 
 
 def test_full_plane_flags():
     plane = full_plane()
-    assert plane.is_full_plane
-    assert not plane.is_bounded
+    assert plane == Rectangle(-math.inf, math.inf, -math.inf, math.inf)
+    assert plane.bbox() == (-math.inf, math.inf, -math.inf, math.inf)
     assert plane.contains(1e12, -1e12)
     strip = Rectangle(-math.inf, math.inf, -1.0, 1.0)
-    assert not strip.is_full_plane
-    assert not strip.is_bounded
+    assert strip != plane
+    assert strip.bbox() == (-math.inf, math.inf, -1.0, 1.0)
 
 
 def test_diamond_membership():
-    d = diamond()
+    d = Diamond()
     assert d.half_width == math.pi
     assert d.contains(0.0, 0.0)
     assert d.contains(3.0, 0.1)
@@ -91,8 +89,7 @@ def test_diamond_membership():
     assert not d.contains(0.0, 3.2)
     assert not d.contains(math.pi, 0.0)
     assert d.bbox() == (-math.pi, math.pi, -math.pi, math.pi)
-    assert d.is_bounded
-    assert not d.is_full_plane
+    assert d != full_plane()
 
 
 def test_region_wraps_predicate():
@@ -100,7 +97,7 @@ def test_region_wraps_predicate():
     assert disc.contains(0.5, 0.5)
     assert not disc.contains(0.9, 0.9)
     assert disc.bbox() == (-1.0, 1.0, -1.0, 1.0)
-    assert disc.is_bounded
+    assert disc != full_plane()
 
 
 def test_region_broadcasts_array_arguments():

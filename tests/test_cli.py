@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, output, file exports."""
 
+import argparse
 import json
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lorentz2d import analysis
-from lorentz2d.cli import main
+from lorentz2d.cli import _build_parser, main
 
 OMEGA1_NULL_PRINTED = "exp(x + t)*exp(x - t)*(exp(x + t) - 0.25*exp(x - t))^(-2)"
 
@@ -339,6 +340,41 @@ def test_compactify_takes_no_domain(tmp_path, capsys):
     assert "unrecognized arguments: --domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--omega", "1", "--target", "0", "--levels", "1"],
+    # used to print t^2 + 1 under the flat family's name and exit 0
+    ["family", "flat", "--phi", "l", "--psi", "l", "--omega", "t^2+1"],
+    ["family", "flat", "--phi", "1", "--psi", "1", "--target", "0"],
+    ["family", "flat", "--phi", "1", "--psi", "1", "--tol", "1e-9"],
+    ["family", "flat", "--phi", "1", "--psi", "1", "--levels", "1"],
+    ["contour", "--omega", "1", "--target", "0"],
+    ["contour", "--omega", "1", "--tol", "1e-9"],
+])
+def test_flags_a_subcommand_does_not_read_exit_2_before_any_work(tmp_path, capsys,
+                                                                 argv):
+    # each of these flags used to be accepted and then ignored
+    out = tmp_path / "x.out"
+    rc = main([*argv, "--grid", "4x4", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
+    assert not out.exists()
+
+
+def test_config_key_a_subcommand_does_not_read_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"tol": 1e-9}))
+    out = tmp_path / "grid.csv"
+    rc = main(["family", "flat", "--phi", "1", "--psi", "1", "--config", str(cfg),
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol=1e-09" in captured.err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # numeric/domain failures (exit 3)
 
@@ -348,6 +384,26 @@ def test_no_valid_samples_exit_3(capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "error:" in err
+
+
+def test_cells_whose_curvature_overflows_are_domain_errors(capsys):
+    # Omega^3 overflows on the x > 0.5 half, so R there is NaN: those 8
+    # cells used to count as valid, and the check passed on the other 8
+    rc = main(["check", "--omega", "exp(700*x)", "--target", "0",
+               "--domain", "rect:-1,1,0,1", "--grid", "4x4"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "cells: valid=8 singular=0 domain_error=8" in out
+
+
+def test_grid_whose_every_curvature_overflows_exits_3(capsys):
+    # Omega^2 and Omega^3 overflow in every cell: this exited 2, the usage
+    # code, with numpy's "All-NaN slice encountered"
+    rc = main(["check", "--omega", "1/(1e-160*x^2+1e-320)", "--target", "0",
+               "--domain", "rect:-1,1,-1,1", "--grid", "4x4"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == "error: grid has no valid cells (0 singular, 16 domain errors)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +466,7 @@ def test_config_lists_booleans_and_nulls(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"phi": "l", "psi": "l", "R": 2, "k": None,
                                "raw_antiderivative": True, "grid": [5, 5],
-                               "levels": [-1, 0.5], "out": "grid.csv"}))
+                               "out": "grid.csv"}))
     rc = main(["family", "liouville", "--config", str(cfg), "--out",
                str(tmp_path / "flag.csv")])
     assert rc == 0
@@ -421,6 +477,12 @@ def test_config_lists_booleans_and_nulls(tmp_path, capsys):
                                "raw_antiderivative": False, "grid": "8x8"}))
     assert main(["check", "--config", str(cfg)]) == 0   # a null tol used to crash
     assert "PASS (tolerance 1e-06)" in capsys.readouterr().out
+
+    cfg.write_text(json.dumps({"omega": "1", "domain": "rect:-2,2,-2,2",
+                               "grid": [20, 20], "levels": [-1, 0.5]}))
+    assert main(["contour", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("level -1: 2 polylines") and "level 0.5: 2 polylines" in out
 
 
 def test_mean_deviation_stays_finite_in_the_json_report(tmp_path, capsys):
@@ -477,12 +539,12 @@ def _half_valid(valid):
 
 
 _NUMBER = _half_valid(st.floats(-3.0, 3.0).map(repr))
-_REQUIRED = {
+# a value for every flag the contract draws; grid and target are drawn
+# whenever a subcommand takes them
+_VALUES = {
     "grid": _half_valid(st.tuples(st.integers(1, 6), st.integers(1, 6))
                         .map("{0[0]}x{0[1]}".format)),
     "target": _NUMBER,
-}
-_OPTIONAL = {
     "tol": _half_valid(st.sampled_from(["1e-6", "0.5", "10"])),
     "levels": st.lists(_NUMBER, min_size=1, max_size=3).map(",".join),
     "domain": _half_valid(st.one_of(
@@ -490,11 +552,36 @@ _OPTIONAL = {
         st.lists(_NUMBER, min_size=3, max_size=5).map(lambda b: "rect:" + ",".join(b)))),
     "format": _half_valid(st.sampled_from(["csv", "json", "svg"])),
 }
+_REQUIRED = ("grid", "target")
 # random family parameters would reach the Omega^3 underflow of the
 # curvature formula (a known ZeroDivisionError gated by the benchmark),
 # so the factor is fixed
-_FACTORS = [["check", "--omega", "1"], ["compactify", "--omega", "1"],
-            ["contour", "--omega", "1"], ["family", "flat", "--phi", "1", "--psi", "1"]]
+_FACTORS = {"check": ["check", "--omega", "1"],
+            "compactify": ["compactify", "--omega", "1"],
+            "contour": ["contour", "--omega", "1"],
+            "family": ["family", "flat", "--phi", "1", "--psi", "1"]}
+# flags that the contract does not draw: the factor and the files
+_NOT_DRAWN = {"help", "family", "omega", "phi", "psi", "c1", "c2", "d1", "d2", "k", "C",
+              "R", "raw-antiderivative", "out", "config"}
+
+
+def _subcommand_flags() -> dict:
+    """The long flags each subcommand's parser registers, without ``--``."""
+    (commands,) = (action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    return {name: {flag[2:] for action in parser._actions
+                   for flag in action.option_strings if flag.startswith("--")}
+            for name, parser in commands.choices.items()}
+
+
+_FLAGS = _subcommand_flags()
+
+
+def test_the_contract_draws_every_flag():
+    # a new flag needs a value in _VALUES before the contract covers it
+    assert set(_FLAGS) == set(_FACTORS)
+    for flags in _FLAGS.values():
+        assert flags - _NOT_DRAWN <= set(_VALUES)
 
 
 def _finite_or_junk(text):
@@ -514,11 +601,15 @@ def _run(argv, capsys):
 
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(factor=st.sampled_from(_FACTORS), data=st.data(),
-       options=st.fixed_dictionaries(_REQUIRED, optional=_OPTIONAL))
-def test_cli_contract(tmp_path, capsys, factor, options, data):
+@given(command=st.sampled_from(sorted(_FACTORS)), data=st.data())
+def test_cli_contract(tmp_path, capsys, command, data):
+    factor, flags = _FACTORS[command], _FLAGS[command]
+    options = data.draw(st.fixed_dictionaries(
+        {k: _VALUES[k] for k in _REQUIRED if k in flags},
+        optional={k: v for k, v in _VALUES.items() if k in flags and k not in _REQUIRED}),
+        label="options")
     rc, out = _run([*factor, *(f"--{k}={v}" for k, v in options.items())], capsys)
-    numbers = [options["target"], options.get("tol", "")]
+    numbers = [options.get("target", ""), options.get("tol", "")]
     numbers += options.get("levels", "").split(",")
     if options.get("domain", "").startswith("rect:"):
         numbers += options["domain"][len("rect:"):].split(",")
@@ -530,3 +621,8 @@ def test_cli_contract(tmp_path, capsys, factor, options, data):
     cfg.write_text(json.dumps({k: options[k] for k in moved}))
     kept = (f"--{k}={v}" for k, v in options.items() if k not in moved)
     assert _run([*factor, "--config", str(cfg), *kept], capsys) == (rc, out)
+
+    # a flag of another subcommand is refused before any work
+    foreign = data.draw(st.sampled_from(sorted(set(_VALUES) - flags)), label="foreign")
+    value = data.draw(_VALUES[foreign], label="foreign value")
+    assert _run([*factor, f"--{foreign}={value}"], capsys) == (2, "")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from lorentz2d.curvature import (
     ricci_from_omega,
     scalar_from_factor_jet,
 )
-from lorentz2d.errors import NonPositiveFactor, StencilOutsideDomain
+from lorentz2d.errors import DomainError, NonPositiveFactor, StencilOutsideDomain
 from lorentz2d.expressions import parse, substitute
 from lorentz2d.families import factor_from_expression
 from lorentz2d.jets import apply_elementary, mul, seed
@@ -42,6 +43,21 @@ def test_nonpositive_factor_rejected():
         ricci_from_omega(parse("x - 10"), (0.0, 0.0))
     with pytest.raises(NonPositiveFactor):
         ricci_from_omega(parse("u - 10"), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("source, point", [("exp(700*x)", (0.0, 0.9)),
+                                           ("exp(700*(u + v))", (0.45, 0.45))])
+def test_curvature_that_overflows_is_a_domain_error(source, point):
+    # Omega^3, or a product of slots, overflows: a float call used to
+    # return R = NaN
+    with pytest.raises(DomainError):
+        ricci_from_omega(parse(source), point)
+    # and on arrays that cell alone becomes NaN
+    factor = factor_from_expression(source)
+    w = factor.jet(np.array([0.0, point[0]]), np.array([0.0, point[1]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = scalar_from_factor_jet(w, factor.chart)
+    assert r[0] == 0.0 and np.isnan(r[1])
 
 
 def test_scalar_from_factor_jet_compact_alias():

@@ -130,13 +130,13 @@ def assert_level_set_exports_match(level_sets, bounds=None):
             == reference_level_sets_to_svg(tuples, bounds=bounds))
 
 
-@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("with_ricci", [True, False])
 @pytest.mark.parametrize("side", [37, 64])
 @pytest.mark.parametrize("name", sorted(GRIDS))
-def test_diagram_exports_match_reference(name, side, refine):
+def test_diagram_exports_match_reference(name, side, with_ricci):
     factor, domain, levels = GRIDS[name]()
-    grid = sample_grid(factor, domain, (side, side), with_ricci=False)
-    sets = extract_level_sets(grid, levels, refine=refine)
+    grid = sample_grid(factor, domain, (side, side), with_ricci=with_ricci)
+    sets = extract_level_sets(grid, levels)
     assert sum(len(ls.polylines) for ls in sets) > 0
     assert_level_set_exports_match(sets)
     assert_level_set_exports_match(sets, bounds=grid.domain.bbox())

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentz2d import families
-from lorentz2d.charts import Rectangle, diamond, full_plane
+from lorentz2d.charts import Diamond, Rectangle, full_plane
 from lorentz2d.curvature import fd_ricci_oracle, ricci_from_omega
 from lorentz2d.errors import (
     BranchYieldsNonPositive,
@@ -71,7 +71,7 @@ def test_flat_factor_curvature_exact_at_jet_level():
 def test_flat_halfangle_compact_form():
     # phi(s) = psi(s) = sec(s/2)^2 / 2 gives the compactified-flat factor;
     # on the t = 0 axis it reduces to (1 + cos x)^(-2).
-    f = flat_factor("0.5*sec(l/2)^2", "0.5*sec(l/2)^2", domain=diamond())
+    f = flat_factor("0.5*sec(l/2)^2", "0.5*sec(l/2)^2", domain=Diamond())
     for x in (0.0, 0.8, -1.9, 2.6):
         assert math.isclose(f.value(0.0, x), (1.0 + math.cos(x)) ** -2,
                             rel_tol=1e-12)

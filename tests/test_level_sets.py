@@ -7,7 +7,9 @@ exceptions, and polylines chained by walking a dict of adjacency lists
 (``_chain_segments``).  The array path must return exactly the same
 polylines (bitwise-equal vertices, same chaining order).  Polylines are
 compared in their array form, as the nested lists of ``tolist()``; the
-reference's lists of (t, x) tuples are converted the same way.
+reference's lists of (t, x) tuples are converted the same way.  Grids are
+sampled both with curvature (``with_ricci=True``, as ``lorentz2d
+compactify`` draws them) and without (as ``lorentz2d contour`` does).
 """
 
 import math
@@ -52,7 +54,12 @@ def _cell_edges(i, j):
     }
 
 
-def _refine_vertex(field, level, pa, fa, pb, fb, target, bound, max_bisections):
+# The refinement policy: bisect until |s^2 - level| <= 1e-3, for at most
+# 60 midpoints, and prune a vertex whose best residual exceeds 1e-2.
+REFINE_TARGET, RESIDUAL_BOUND, MAX_BISECTIONS = 1e-3, 1e-2, 60
+
+
+def _refine_vertex(field, level, pa, fa, pb, fb):
     if fa == level:
         return pa
     if fb == level:
@@ -63,7 +70,7 @@ def _refine_vertex(field, level, pa, fa, pb, fb, target, bound, max_bisections):
         fg = field(*guess)
     except EvaluationError:
         return None
-    if abs(fg - level) <= target:
+    if abs(fg - level) <= REFINE_TARGET:
         return guess
     lo, flo, hi = pa, fa, pb
     if (flo < level) == (fg < level):
@@ -71,7 +78,7 @@ def _refine_vertex(field, level, pa, fa, pb, fb, target, bound, max_bisections):
     else:
         hi = guess
     best, best_res = guess, abs(fg - level)
-    for _ in range(max_bisections):
+    for _ in range(MAX_BISECTIONS):
         mid = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
         try:
             fm = field(*mid)
@@ -80,13 +87,13 @@ def _refine_vertex(field, level, pa, fa, pb, fb, target, bound, max_bisections):
         res = abs(fm - level)
         if res < best_res:
             best, best_res = mid, res
-        if res <= target:
+        if res <= REFINE_TARGET:
             return mid
         if (flo < level) == (fm < level):
             lo, flo = mid, fm
         else:
             hi = mid
-    return best if best_res <= bound else None
+    return best if best_res <= RESIDUAL_BOUND else None
 
 
 def _chain_segments(segments, verts) -> list:
@@ -117,8 +124,7 @@ def _chain_segments(segments, verts) -> list:
     return polylines
 
 
-def reference_level_sets(grid, levels, refine=True, residual_bound=1e-2,
-                         refine_target=1e-3, max_bisections=60):
+def reference_level_sets(grid, levels):
     """Polylines per level from the per-cell loop with scalar refinement."""
     s2 = grid.s2
     ok = grid.status == VALID
@@ -162,14 +168,7 @@ def reference_level_sets(grid, levels, refine=True, residual_bound=1e-2,
                         pa = (float(grid.ts[ia]), float(grid.xs[ja]))
                         pb = (float(grid.ts[ib]), float(grid.xs[jb]))
                         fa, fb = float(s2[ia, ja]), float(s2[ib, jb])
-                        if refine:
-                            verts[key] = _refine_vertex(
-                                field, level, pa, fa, pb, fb,
-                                refine_target, residual_bound, max_bisections)
-                        else:
-                            theta = 0.0 if fb == fa else (level - fa) / (fb - fa)
-                            verts[key] = (pa[0] + theta * (pb[0] - pa[0]),
-                                          pa[1] + theta * (pb[1] - pa[1]))
+                        verts[key] = _refine_vertex(field, level, pa, fa, pb, fb)
         live = [seg for seg in segments
                 if verts.get(seg[0]) is not None and verts.get(seg[1]) is not None]
         result.append(_chain_segments(live, verts))
@@ -186,10 +185,10 @@ def as_vertex_lists(polylines) -> list:
     return [np.asarray(p, dtype=float).reshape(-1, 2).tolist() for p in polylines]
 
 
-def assert_matches_reference(grid, levels, refine):
+def assert_matches_reference(grid, levels):
     """Exact polylines."""
-    got = extract_level_sets(grid, levels, refine=refine)
-    want = reference_level_sets(grid, levels, refine=refine)
+    got = extract_level_sets(grid, levels)
+    want = reference_level_sets(grid, levels)
     assert [ls.level for ls in got] == [float(level) for level in levels]
     for ls, polylines in zip(got, want):
         assert vertex_lists(ls) == as_vertex_lists(polylines), ls.level
@@ -208,23 +207,23 @@ GRIDS = {
 }
 
 
-@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("with_ricci", [True, False])
 @pytest.mark.parametrize("side", [37, 64])
 @pytest.mark.parametrize("name", sorted(GRIDS))
-def test_diagrams_match_reference(name, side, refine):
+def test_diagrams_match_reference(name, side, with_ricci):
     factor, domain, levels = GRIDS[name]()
-    grid = sample_grid(factor, domain, (side, side), with_ricci=False)
-    got = assert_matches_reference(grid, levels, refine)
+    grid = sample_grid(factor, domain, (side, side), with_ricci=with_ricci)
+    got = assert_matches_reference(grid, levels)
     assert sum(len(ls.polylines) for ls in got) > 0
 
 
-@pytest.mark.parametrize("refine", [True, False])
-def test_null_chart_factor_matches_reference(refine):
+@pytest.mark.parametrize("with_ricci", [True, False])
+def test_null_chart_factor_matches_reference(with_ricci):
     factor = factor_from_expression("exp(u+v) * (exp(u) - (1/4)*exp(v))^(-2)", 2.0)
     grid = sample_grid(factor, Rectangle(-1.0, 1.0, -1.0, 1.0), (45, 41),
-                       with_ricci=False)
+                       with_ricci=with_ricci)
     assert grid.chart == "uv"
-    assert_matches_reference(grid, (-1.0, -0.25, 0.0, 0.25, 1.0), refine)
+    assert_matches_reference(grid, (-1.0, -0.25, 0.0, 0.25, 1.0))
 
 
 def _saddle_levels(s2):
@@ -239,11 +238,11 @@ def _saddle_levels(s2):
     return sorted(levels)
 
 
-@pytest.mark.parametrize("refine", [True, False])
-def test_dense_saddles_match_reference(refine):
+@pytest.mark.parametrize("with_ricci", [True, False])
+def test_dense_saddles_match_reference(with_ricci):
     factor = factor_from_expression("2 + sin(5*t)*sin(5*x)")
     grid = sample_grid(factor, Rectangle(-2.0, 2.0, -2.0, 2.0), (64, 64),
-                       with_ricci=False)
+                       with_ricci=with_ricci)
     levels = _saddle_levels(grid.s2)
     # saddles of both cases, with the centre above and below the level
     s2 = grid.s2
@@ -256,69 +255,69 @@ def test_dense_saddles_match_reference(refine):
             mean = (s2[i, j] + s2[i, j + 1] + s2[i + 1, j + 1] + s2[i + 1, j]) / 4.0
             centres.add((int(case[i, j]), bool(mean >= level)))
     assert centres == {(5, True), (5, False), (10, True), (10, False)}
-    assert_matches_reference(grid, levels, refine)
+    assert_matches_reference(grid, levels)
 
 
-@pytest.mark.parametrize("refine", [True, False])
-def test_level_zero_exact_hits_match_reference(refine):
-    grid = sample_grid(flat_factor("1", "1"), BOX3, (40, 40), with_ricci=False)
+@pytest.mark.parametrize("with_ricci", [True, False])
+def test_level_zero_exact_hits_match_reference(with_ricci):
+    grid = sample_grid(flat_factor("1", "1"), BOX3, (40, 40), with_ricci=with_ricci)
     assert np.any(grid.s2 == 0.0)
-    (ls,) = assert_matches_reference(grid, [0.0], refine)
+    (ls,) = assert_matches_reference(grid, [0.0])
     assert ls.polylines
 
 
-@pytest.mark.parametrize("refine", [True, False])
-def test_pole_grid_matches_reference(refine):
+@pytest.mark.parametrize("with_ricci", [True, False])
+def test_pole_grid_matches_reference(with_ricci):
     factor = factor_from_expression("(x + t - 1)^(-2)")
     grid = sample_grid(factor, Rectangle(-2.0, 2.0, -2.0, 2.0), (60, 60),
-                       with_ricci=False)
+                       with_ricci=with_ricci)
     assert grid.n_domain_error > 0
-    assert_matches_reference(grid, [0.5, -1.0], refine)
+    assert_matches_reference(grid, [0.5, -1.0])
 
 
-def _jump_grid():
+def _jump_grid(with_ricci=False):
     # Omega jumps from ~0 to ~e^40 across x + t = 1, where no cell centre
     # lies: the cells straddling it have a crossing that is no level point
     factor = factor_from_expression("exp(1/(x + t - 1))")
     return sample_grid(factor, Rectangle(-2.0, 2.0, -2.0, 2.0), (41, 41),
-                       with_ricci=False)
+                       with_ricci=with_ricci)
 
 
-@pytest.mark.parametrize("refine", [True, False])
-def test_jump_grid_matches_reference(refine):
-    assert_matches_reference(_jump_grid(), [0.5, 2.0], refine)
+@pytest.mark.parametrize("with_ricci", [True, False])
+def test_jump_grid_matches_reference(with_ricci):
+    assert_matches_reference(_jump_grid(with_ricci), [0.5, 2.0])
 
 
-@pytest.mark.parametrize("refine", [True, False])
-def test_shifted_liouville_matches_reference(refine):
+@pytest.mark.parametrize("with_ricci", [True, False])
+def test_shifted_liouville_matches_reference(with_ricci):
     factor = liouville_factor("0.1*l", "0.05*sin(l)", 1.0, 0.0, 2.0,
                               singular_eps=0.05)
     grid = sample_grid(factor, Rectangle(-1.0, 1.0, -2.0, 2.0), (17, 21),
-                       with_ricci=False)
-    assert_matches_reference(grid, (-0.5, 0.25, 1.0), refine)
+                       with_ricci=with_ricci)
+    assert_matches_reference(grid, (-0.5, 0.25, 1.0))
 
 
-@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("with_ricci", [True, False])
 @pytest.mark.parametrize("resolution", [(1, 7), (7, 1), (1, 1)])
-def test_degenerate_lattices_have_no_segments(resolution, refine):
-    grid = sample_grid(flat_factor("1", "1"), BOX3, resolution, with_ricci=False)
-    (ls,) = assert_matches_reference(grid, [0.0], refine)
+def test_degenerate_lattices_have_no_segments(resolution, with_ricci):
+    grid = sample_grid(flat_factor("1", "1"), BOX3, resolution, with_ricci=with_ricci)
+    (ls,) = assert_matches_reference(grid, [0.0])
     assert vertex_lists(ls) == [] and ls.n_pruned == 0
 
 
-@pytest.mark.parametrize("refine", [True, False])
-def test_two_by_two_with_an_invalid_corner(refine):
+@pytest.mark.parametrize("with_ricci", [True, False])
+def test_two_by_two_with_an_invalid_corner(with_ricci):
     # corners (t, x) = (+-1.5, 0.5), (+-1.5, 3.5): s^2 = -2 and 10; the one
     # cell of the lattice loses its (1.5, 3.5) corner
     bounds = (-3.0, 3.0, -1.0, 5.0)
     domain = Region(lambda t, x: not (t > 0 and x > 2), bounds)
-    grid = sample_grid(flat_factor("1", "1"), domain, (2, 2), with_ricci=False)
+    grid = sample_grid(flat_factor("1", "1"), domain, (2, 2), with_ricci=with_ricci)
     assert grid.n_valid == 3
     full = sample_grid(flat_factor("1", "1"), Rectangle(*bounds), (2, 2),
-                       with_ricci=False)
-    (ls,) = assert_matches_reference(grid, [1.0], refine)
+                       with_ricci=with_ricci)
+    (ls,) = assert_matches_reference(grid, [1.0])
     assert vertex_lists(ls) == []
-    (ls,) = assert_matches_reference(full, [1.0], refine)
+    (ls,) = assert_matches_reference(full, [1.0])
     assert ls.polylines
 
 
@@ -334,8 +333,22 @@ def _square_grid(corners, factor=None):
                       status=np.full((2, 2), VALID, dtype=np.int8), with_ricci=False)
 
 
+def _bilinear_grid(corners):
+    """A hand-built 2x2 lattice on t in {0, 1}, x in {2, 3} whose field s^2
+    is the bilinear interpolant of ``corners`` + 10 (at (0,2), (0,3), (1,3),
+    (1,2)): linear along every edge, so that each linear guess is already
+    the crossing and refinement keeps it."""
+    c0, c1, c2, c3 = (c + 10.0 for c in corners)
+    field = f"{c0} + {c1 - c0}*(x - 2) + {c3 - c0}*t + {c0 - c1 + c2 - c3}*t*(x - 2)"
+    grid = _square_grid(corners, factor_from_expression(f"({field})/(x^2 - t^2)"))
+    grid.s2 += 10.0
+    grid.xs += 2.0
+    return grid
+
+
 # Linear crossings at level 0 for corners (+-3, -+1) with the centre above,
 # or (+-1, -+3) with the centre below: bottom b, right r, top t, left l.
+# ``_bilinear_grid`` moves the level to 10 and x by 2.
 @pytest.mark.parametrize("corners, polylines", [
     # case 5, centre above: l-t and b-r
     ((3.0, -1.0, 3.0, -1.0), [[(0.75, 0.0), (1.0, 0.25)], [(0.0, 0.75), (0.25, 1.0)]]),
@@ -347,38 +360,31 @@ def _square_grid(corners, factor=None):
     ((-3.0, 1.0, -3.0, 1.0), [[(0.0, 0.75), (0.25, 1.0)], [(0.75, 0.0), (1.0, 0.25)]]),
 ])
 def test_saddle_cells(corners, polylines):
-    grid = _square_grid(corners)
-    (ls,) = assert_matches_reference(grid, [0.0], refine=False)
-    assert vertex_lists(ls) == as_vertex_lists(polylines)
-    # refinement polishes against the flat field, whatever the stored s^2
-    assert_matches_reference(grid, [0.0], refine=True)
+    (ls,) = assert_matches_reference(_bilinear_grid(corners), [10.0])
+    assert vertex_lists(ls) == [[[t, x + 2.0] for t, x in p] for p in polylines]
+    assert ls.n_pruned == 0
 
 
 def test_exact_hit_keeps_its_lattice_point():
     # the stored s^2 at (0, 0) is the level, though the field there is 0:
     # the vertex on the left edge is that lattice point, with no evaluation
     grid = _square_grid((-0.5, 1.0, 0.0, -1.0))
-    (ls,) = assert_matches_reference(grid, [-0.5], refine=True)
+    (ls,) = assert_matches_reference(grid, [-0.5])
     ((start, end),) = vertex_lists(ls)
     assert start == [0.0, 0.0]
     assert end[0] == 1.0 and abs(end[1] ** 2 - 1.0 + 0.5) <= 1e-3
 
 
-@pytest.mark.parametrize("refine", [True, False])
-def test_nan_corner_is_below_every_level(refine):
+def test_nan_corner_is_below_every_level():
     # as in an ``s2 >= level`` mask: at 0.5 the other three corners are
     # above (case 14), at 2.5 only (1, 0) is (case 8); the crossings on
     # the edges out of the NaN corner get NaN vertices, which are pruned,
     # and the flat field never reaches 2.5 on the top edge
     grid = _square_grid((math.nan, 1.0, 2.0, 3.0))
-    low, high = extract_level_sets(grid, [0.5, 2.5], refine=refine)
-    if refine:
-        assert (low.n_pruned, high.n_pruned) == (2, 2)
-        assert vertex_lists(low) == [] and vertex_lists(high) == []
-    else:
-        assert [len(p) for p in low.polylines] == [2]
-        assert [len(p) for p in high.polylines] == [2]
-        assert math.isnan(low.polylines[0][0][0])
+    low, high = extract_level_sets(grid, [0.5, 2.5])
+    assert (low.n_pruned, high.n_pruned) == (2, 2)
+    assert vertex_lists(low) == [] and vertex_lists(high) == []
+
 
 def test_failed_field_value_prunes_the_vertex():
     # Omega is NaN for 0.35 < x < 0.55, where both edges' linear guesses
@@ -386,7 +392,7 @@ def test_failed_field_value_prunes_the_vertex():
     # t = 0, x ~ 0.2, but a failed evaluation prunes the vertex at once
     factor = factor_from_expression("1 + sqrt((x - 0.45)^2 - 0.01)")
     grid = _square_grid((-0.45, 0.55, 0.55, -0.45), factor)
-    (ls,) = assert_matches_reference(grid, [0.05], refine=True)
+    (ls,) = assert_matches_reference(grid, [0.05])
     assert vertex_lists(ls) == [] and ls.n_pruned == 2 and ls.bisections == 2
 
 
@@ -398,9 +404,6 @@ def test_level_set_diagnostics_on_the_jump_grid():
     assert 0.0 <= ls.max_residual <= 1e-3
     n_vertices = sum(len(p) for p in ls.polylines)
     assert ls.bisections >= n_vertices
-    (plain,) = extract_level_sets(grid, [0.5], refine=False)
-    assert plain.n_pruned == 0 and plain.bisections == 0
-    assert math.isnan(plain.max_residual)
 
 
 def test_level_set_defaults():
@@ -411,22 +414,24 @@ def test_level_set_defaults():
     assert vertex_lists(empty) == [] and math.isnan(empty.max_residual)
 
 
-@pytest.mark.parametrize("make, levels", [
-    (lambda: sample_grid(flat_factor("1", "1"), BOX3, (37, 37), with_ricci=False),
-     DIAGRAM_LEVELS),
-    (lambda: sample_grid(compactify(_raw_liouville()), Diamond(), (48, 48),
-                         with_ricci=False), DIAGRAM_LEVELS),
+@pytest.mark.parametrize("factor, domain, resolution, levels", [
+    (lambda: flat_factor("1", "1"), BOX3, (37, 37), DIAGRAM_LEVELS),
+    (lambda: compactify(_raw_liouville()), Diamond(), (48, 48), DIAGRAM_LEVELS),
     # pruned vertices
-    (_jump_grid, [0.5, 2.0]),
-    # the smallest polyline: one segment across a 2x2 lattice
-    (lambda: _square_grid((-1.0, 1.0, 1.0, -1.0)), [0.0]),
+    (lambda: factor_from_expression("exp(1/(x + t - 1))"),
+     Rectangle(-2.0, 2.0, -2.0, 2.0), (41, 41), [0.5, 2.0]),
+    # the smallest polyline: one segment across a 2x2 lattice, near
+    # (-0.5, 0.5) to (0.5, 0.5)
+    (lambda: flat_factor("1", "1"), Rectangle(-1.0, 1.0, -1.0, 3.0), (2, 2), [0.0]),
     # no edges at all
-    (lambda: sample_grid(flat_factor("1", "1"), BOX3, (1, 7), with_ricci=False), []),
+    (lambda: flat_factor("1", "1"), BOX3, (1, 7), []),
 ], ids=["classic_flat", "compact_liouville", "jump", "one-segment", "one-row"])
-@pytest.mark.parametrize("refine", [True, False])
-def test_polylines_are_float64_views_of_one_vertex_array(make, levels, refine):
+@pytest.mark.parametrize("with_ricci", [True, False])
+def test_polylines_are_float64_views_of_one_vertex_array(factor, domain, resolution,
+                                                          levels, with_ricci):
+    grid = sample_grid(factor(), domain, resolution, with_ricci=with_ricci)
     # each call also asks for a level that the field never reaches
-    sets = extract_level_sets(make(), [*levels, 1e300], refine=refine)
+    sets = extract_level_sets(grid, [*levels, 1e300])
     assert sets[-1].polylines == []
     polylines = [p for ls in sets for p in ls.polylines]
     assert bool(polylines) == bool(levels)
@@ -454,7 +459,7 @@ def test_level_sets_compare_by_identity():
 def test_invalid_cells_take_no_part():
     grid = sample_grid(flat_factor("1", "1"), BOX3, (30, 30), with_ricci=False)
     grid.status[10:20, 10:20] = DOMAIN_ERROR
-    assert_matches_reference(grid, [-1.0, 0.0, 1.0], refine=True)
+    assert_matches_reference(grid, [-1.0, 0.0, 1.0])
 
 
 BATCH_GRIDS = {
@@ -466,15 +471,13 @@ BATCH_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("options", [{}, {"refine": False}, {"max_bisections": 0}],
-                         ids=["refine", "no-refine", "guess-only"])
 @pytest.mark.parametrize("name", sorted(BATCH_GRIDS))
-def test_levels_refined_together_match_levels_alone(name, options):
+def test_levels_refined_together_match_levels_alone(name):
     grid = BATCH_GRIDS[name]()
     nowhere = 2.0 * float(np.nanmax(np.abs(grid.s2)))
     levels = [0.5, *DIAGRAM_LEVELS, nowhere, 0.5, -1.0]
-    together = extract_level_sets(grid, levels, **options)
-    alone = [extract_level_sets(grid, [level], **options)[0] for level in levels]
+    together = extract_level_sets(grid, levels)
+    alone = [extract_level_sets(grid, [level])[0] for level in levels]
     assert len(together) == len(levels)
     for got, want in zip(together, alone):
         assert got.level == want.level
@@ -484,6 +487,6 @@ def test_levels_refined_together_match_levels_alone(name, options):
         assert (got.max_residual == want.max_residual
                 or math.isnan(got.max_residual) and math.isnan(want.max_residual))
     assert vertex_lists(together[len(levels) - 3]) == []
-    assert extract_level_sets(grid, [], **options) == []
-    if name == "jump" and options.get("refine", True):
+    assert extract_level_sets(grid, []) == []
+    if name == "jump":
         assert any(ls.n_pruned for ls in together)
