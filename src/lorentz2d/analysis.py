@@ -4,28 +4,28 @@ A ``SampleGrid`` evaluates a factor at cell centres of a regular lattice
 over a domain's bounding box.  Cells outside the domain are marked and
 excluded from all counts; cells inside are valid, singular (denominator
 epsilon band) or domain errors (poles, non-positive factor, overflow,
-quadrature failure).  Sampling walks the lattice in bands of whole rows,
-about ``_BLOCK_CELLS`` cells each, and evaluates each band
-array-at-a-time.  A band's columns are clipped to the span of its cells
-that lie inside both the domain and the factor's domain.  When every
-cell of that span does, the band is evaluated once on broadcast
-coordinates, a column of t against a row of x, so that a formula in one
-coordinate (a sech^2 in x, an e^{phi} in u alone after the pullback) is
-evaluated once per row or column instead of once per cell; otherwise
-its evaluable cells are gathered into flat arrays.  Every cell gets the
-status, value and curvature that evaluating it alone with floats would
-give (up to the last bits of numpy's transcendental functions), and no
-output depends on the band size or on which of the two ways a band
-took.  A band is large enough to spread numpy's fixed cost per call
-over many cells, and small enough that its intermediate arrays stay in
-cache and bound the peak memory whatever the number of rows (a row of
-more than ``_BLOCK_CELLS`` cells is a band of its own).  Sampling is
-deterministic: two runs with the same inputs produce bitwise-identical
-arrays.
+quadrature failure).  Sampling splits the lattice into
+round(n_t * n_x / ``_BLOCK_CELLS``) bands of whole rows, whose row counts
+differ by at most one, and clips each band to the rows and columns of its
+cells inside both the domain and the factor's domain.  When every cell of
+that rectangle is, the band is evaluated once on broadcast coordinates, a
+column of t against a row of x, so that a formula in one coordinate (a
+sech^2 in x, an e^{phi} in u alone after the pullback) is evaluated once
+per row or column instead of once per cell, also where a band crosses the
+edge of a strip; otherwise its evaluable cells are gathered into flat
+arrays.  Every cell gets the status, value and curvature that evaluating
+it alone with floats would give (up to the last bits of numpy's
+transcendental functions), and no output depends on the band size or on
+which of the two ways a band took.  A band is large enough to spread
+numpy's fixed cost per call over many cells, and small enough to bound
+the peak memory whatever the number of rows (a row of more than
+``_BLOCK_CELLS`` cells is a band of its own).  Sampling is deterministic:
+two runs with the same inputs produce bitwise-identical arrays.
 
 ``constancy_report`` aggregates the curvature deviation from a target
-constant.  ``extract_level_sets`` runs marching squares on the interval
-field s^2 = Omega (x^2 - t^2) on whole arrays: per level, the cells
+constant in one pass over the lattice, with the bits of numpy's
+nan-reductions.  ``extract_level_sets`` runs marching squares on the
+interval field s^2 = Omega (x^2 - t^2) on whole arrays: per level, the cells
 whose lowest and highest corners straddle it get a case from their
 ``s2 >= level`` corner bits, saddle cells are resolved by the average of
 their four corners, and a small table turns cases into segments between
@@ -73,19 +73,18 @@ from .errors import (
     NoValidSamples,
 )
 
-# Lattice cells per band, the cells evaluated per array operation: a band
-# holds max(1, _BLOCK_CELLS // n_x) whole rows.  (The figures below were
-# measured on row-major blocks of this many cells.)  A Jet2 op makes about
-# 40 numpy calls, whose fixed cost at 1024 cells was about 40% of a jet
-# sample.  Against 1024 (benchmark grids, one core of a 2-vCPU VM), the
-# time levels off from 4096 cells on: jets 0.46-0.57x, values 0.45-0.54x
-# over three sweeps, and larger blocks gain a few percent at most.  The
-# intermediate arrays grow with the block all the same: 0.7 / 2.6 / 5.1
-# MB on a 200^2 jet sample at 1024 / 4096 / 8192.  One block for the
-# whole lattice is slower on values (0.59-0.74x: its arrays no longer
-# fit in cache), and its intermediates grow with the lattice (13 MB at
-# 200^2, 29 MB at 300^2).
-_BLOCK_CELLS = 4096
+# Lattice cells per band: a lattice is split into round(n_t * n_x /
+# _BLOCK_CELLS) bands of whole rows (at least 1, at most n_t).  A band pays
+# a fixed cost, the numpy calls of its jet ops: on a 64^2 lattice split
+# into 1 to 8 bands (one pinned core of a 2-vCPU VM), 0.13-0.48 ms per band
+# for the verify_grid kinds, against 0.07-0.70 ms for the cells of a
+# 4096-cell band.  Against 4096, the six kinds at their benchmark sides
+# took 0.81-0.89x at 8192, 0.70-0.82x at 12288, 0.73-0.76x at 16384 and
+# 0.72-0.77x at 24576-32768 (two sweeps, median of 21 each; one kind alone
+# moves by +-20%).  The intermediate arrays grow with the band all the
+# same: 1.4 / 2.8 / 5.6 / 8.2 MB on a 300^2 jet sample of the compactified
+# unit factor at 4096 / 8192 / 16384 / 32768, and 13.6 MB in one band.
+_BLOCK_CELLS = 16384
 
 _CSV_HEADER = "t,x,omega,R,s2,valid"
 
@@ -163,29 +162,33 @@ def sample_grid(factor, domain=None, resolution: tuple[int, int] = (50, 50),
 
     chart = factor.chart
     sampled = 0
-    rows = max(1, _BLOCK_CELLS // n_x)
+    own = domain == factor.domain   # then one membership test is enough
+    # bands of whole rows whose row counts differ by at most one
+    n_bands = min(n_t, max(1, round(n_t * n_x / _BLOCK_CELLS)))
+    edges = [k * n_t // n_bands for k in range(n_bands + 1)]
     # overflow and invalid results are poisoned (NaN) cells, not warnings
     with np.errstate(all="ignore"):
-        for i0 in range(0, n_t, rows):
-            band = slice(i0, min(i0 + rows, n_t))
+        for i0, i1 in zip(edges, edges[1:]):
+            band = slice(i0, i1)
             t, x = ts[band, None], xs[None, :]
             inside = domain.contains(t, x)
             sampled += np.count_nonzero(inside)
-            ok = inside & factor.domain.contains(t, x)
+            ok = inside if own else inside & factor.domain.contains(t, x)
             status[band][inside & ~ok] = DOMAIN_ERROR
-            # the band's evaluable cells lie in the columns [j0, j1)
-            cols = np.flatnonzero(ok.any(axis=0))
-            if cols.size == 0:
+            # the band's evaluable cells span the rows [r0, r1), columns [j0, j1)
+            rows, cols = np.flatnonzero(ok.any(axis=1)), np.flatnonzero(ok.any(axis=0))
+            if rows.size == 0:
                 continue
+            r0, r1 = i0 + int(rows[0]), i0 + int(rows[-1]) + 1
             j0, j1 = int(cols[0]), int(cols[-1]) + 1
-            ok = ok[:, j0:j1]
+            ok = ok[r0 - i0:r1 - i0, j0:j1]
             if ok.all():
                 # a formula in one coordinate is evaluated on that coordinate
-                cells = (band, slice(j0, j1))
-                a, b = t, xs[None, j0:j1]
+                cells = (slice(r0, r1), slice(j0, j1))
+                a, b = ts[r0:r1, None], xs[None, j0:j1]
             else:
                 rr, cc = np.nonzero(ok)
-                cells = (rr + i0, cc + j0)
+                cells = (rr + r0, cc + j0)
                 a, b = ts[cells[0]], xs[cells[1]]
             code = np.full(np.broadcast_shapes(a.shape, b.shape), VALID, dtype=np.int8)
             if with_ricci:
@@ -239,29 +242,34 @@ def constancy_report(grid: SampleGrid, target: float | None = None,
     if target is None:
         raise ValueError("no target curvature: pass one explicitly or use a "
                          "factor that carries a claim")
+    if math.isnan(target):
+        raise ValueError("the target curvature is NaN")
     if not grid.with_ricci:
         raise ValueError("grid was sampled without curvature; "
                          "use sample_grid(..., with_ricci=True)")
-    if grid.n_valid == 0:
+    valid = grid.status == VALID
+    n_valid = int(np.count_nonzero(valid))
+    if n_valid == 0:
         raise NoValidSamples(
             f"grid has no valid cells ({grid.n_singular} singular, "
             f"{grid.n_domain_error} domain errors)")
 
-    dev = np.where(grid.status == VALID, grid.ricci - target, np.nan)
-    flat = np.abs(dev).ravel()
-    worst = int(np.nanargmax(flat))
+    # deviations are 0 off the valid cells, the array np.nanmean summed (so
+    # the mean keeps its bits), and -1 there in |dev| loses every argmax
+    dev = np.where(valid, grid.ricci - target, 0.0)
+    worst = int(np.argmax(np.where(valid, np.abs(dev), -1.0)))
     i, j = divmod(worst, dev.shape[1])
-    max_abs = float(flat[worst])
+    max_abs = float(abs(dev[i, j]))
     with np.errstate(over="ignore"):
-        mean = float(np.nanmean(dev))
+        mean = float(dev.sum() / n_valid)
         if not math.isfinite(mean) and math.isfinite(max_abs):
             # the sum overflowed; the mean of dev / max_abs lies in [-1, 1]
-            mean = float(np.nanmean(dev / max_abs)) * max_abs
+            mean = float((dev / max_abs).sum() / n_valid) * max_abs
     return CurvatureReport(
         target_R=float(target),
         tolerance=float(tolerance),
         passed=bool(max_abs <= tolerance),
-        n_valid=grid.n_valid,
+        n_valid=n_valid,
         n_singular=grid.n_singular,
         n_domain_error=grid.n_domain_error,
         max_abs_deviation=max_abs,

@@ -152,6 +152,13 @@ def test_report_mean_is_the_plain_mean_where_that_is_finite():
         assert report.mean_deviation == float(np.nanmean(dev))
 
 
+def test_report_refuses_a_nan_target():
+    # every deviation would be NaN: no worst cell, no mean, no verdict
+    grid = sample_grid(factor_from_expression("exp(t)"), BOX, resolution=(5, 5))
+    with pytest.raises(ValueError):
+        constancy_report(grid, target=math.nan)
+
+
 def test_report_requires_some_target():
     grid = sample_grid(factor_from_expression("exp(t)"), BOX, resolution=(5, 5))
     with pytest.raises(ValueError):

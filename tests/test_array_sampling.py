@@ -12,8 +12,10 @@ evaluated on broadcast coordinates wherever a band is whole, must give
 its arrays bit for bit.
 """
 
+import dataclasses
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -163,7 +165,7 @@ CASES = {
 def test_sample_grid_matches_per_cell_reference(case, with_ricci, monkeypatch):
     factor, domain = CASES[case]()
     monkeypatch.setattr(analysis, "_BLOCK_CELLS", 512)
-    # 37 x 41 cells: more than one block, and the last block is partial
+    # 37 x 41 cells: three bands, of 12, 12 and 13 rows
     assert 37 * 41 > analysis._BLOCK_CELLS
     grid = assert_matches_reference(factor, domain, (37, 41), with_ricci)
     assert grid.n_valid > 0
@@ -218,8 +220,9 @@ def test_underflowing_cube_still_raises_like_the_reference():
 
 
 DEFAULT_BLOCK_CELLS = analysis._BLOCK_CELLS
-# 65 x 65 cells: more than one default block, and the last block is partial
-BLOCK_LATTICE = (65, 65)
+# 181 x 181 cells: round(181^2 / 16384) = 2 default bands, of 90 and 91
+# rows (a rounded count of 2 needs more than 1.5 default bands of cells)
+BLOCK_LATTICE = (181, 181)
 
 
 @pytest.mark.parametrize("with_ricci", [True, False])
@@ -227,7 +230,8 @@ BLOCK_LATTICE = (65, 65)
 def test_outputs_do_not_depend_on_the_block_size(case, with_ricci, monkeypatch):
     factor, domain = CASES[case]()
     n_cells = BLOCK_LATTICE[0] * BLOCK_LATTICE[1]
-    assert n_cells > DEFAULT_BLOCK_CELLS
+    assert n_cells > 1.5 * DEFAULT_BLOCK_CELLS
+    assert BLOCK_LATTICE[0] % round(n_cells / DEFAULT_BLOCK_CELLS) != 0
     outputs = []
     for block in (1, 7, 1024, DEFAULT_BLOCK_CELLS, n_cells + 1):
         monkeypatch.setattr(analysis, "_BLOCK_CELLS", block)
@@ -236,6 +240,74 @@ def test_outputs_do_not_depend_on_the_block_size(case, with_ricci, monkeypatch):
                         for name in ("omega", "ricci", "s2", "status")])
     assert all(out == outputs[0] for out in outputs[1:])
     assert grid.n_valid > 0
+
+
+class _BandSpy:
+    """A rectangle that records the rows of every band it is asked about."""
+
+    def __init__(self, box):
+        self.box, self.rows = box, []
+
+    def contains(self, t, x):
+        self.rows.append(np.shape(t)[0])
+        return self.box.contains(t, x)
+
+    def bbox(self):
+        return self.box.bbox()
+
+
+@pytest.mark.parametrize("block", [DEFAULT_BLOCK_CELLS, 4096, 1024])
+@pytest.mark.parametrize("side", [65, 91, 146, 177])
+def test_bands_split_the_rows_evenly(side, block, monkeypatch):
+    # k = round(cells / block) bands of whole rows, each of ceil(n_t / k)
+    # or floor(n_t / k) rows: no sliver band of a row or two
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", block)
+    spy = _BandSpy(BOX)
+    sample_grid(factor_from_expression(README_R2, 2.0), spy, (side, side))
+    k = max(1, round(side * side / block))
+    assert len(spy.rows) == k and sum(spy.rows) == side
+    assert set(spy.rows) <= {side // k, -(-side // k)}
+
+
+def _spied(factor):
+    """The factor, with the coordinate shapes of every evaluation recorded."""
+    shapes = []
+
+    def spy(fn):
+        def call(a, b, status=None):
+            shapes.append((np.shape(a), np.shape(b)))
+            return fn(a, b, status)
+        return call
+
+    return dataclasses.replace(factor, value_fn=spy(factor.value_fn),
+                               jet_fn=spy(factor.jet_fn)), shapes
+
+
+@pytest.mark.parametrize("with_ricci", [True, False])
+@pytest.mark.parametrize("case", ["sec2_overhang", "sec2_x_overhang"])
+def test_strip_overhangs_stay_on_broadcast_coordinates(case, with_ricci):
+    # a band that crosses the edge of the factor's strip is clipped to the
+    # strip's rows and columns, and evaluated on a column of t against a
+    # row of x, never on gathered flat arrays
+    factor, domain = CASES[case]()
+    factor, shapes = _spied(factor)
+    grid = sample_grid(factor, domain, (37, 41), with_ricci=with_ricci)
+    assert grid.n_domain_error > 0 and shapes
+    for a, b in shapes:
+        assert len(a) == 2 and a[1] == 1 and len(b) == 2 and b[0] == 1
+
+
+def test_the_factors_own_domain_is_tested_once_per_cell():
+    calls = []
+
+    def disc(t, x):
+        calls.append((t, x))
+        return t * t + x * x < 0.8
+
+    factor = factor_from_expression("1 + t^2", domain=Region(disc, (-1.0, 1.0, -1.0, 1.0)))
+    grid = sample_grid(factor, None, (20, 20))
+    assert len(calls) == 400
+    assert grid.n_valid > 0 and grid.count(OUTSIDE) > 0
 
 
 def _transient_bytes(factor, side):
@@ -251,13 +323,16 @@ def _transient_bytes(factor, side):
 
 
 def test_blocks_bound_the_transient_memory():
-    # One block for the whole lattice makes the intermediate arrays grow
-    # with it, about 9x from 150^2 to 450^2 cells.  Blocks cap them at a
-    # block's worth; the 450^2 blocks span a narrower t range of the
-    # diamond, so more of their cells are inside and evaluated (about
-    # 1.15x), which the margin of 1.5 allows.
+    # One band for the whole lattice makes the intermediate arrays grow
+    # with it, about 9x from 300^2 to 900^2 cells.  Bands (5 and 49 of
+    # them here) cap them at a band's worth; the 900^2 bands span a
+    # narrower t range of the diamond, so more of their cells are inside
+    # and evaluated, which the margin of 1.5 allows.  (With 2 bands, most
+    # of each is outside the diamond: 200^2 holds 0.65x the transient
+    # bytes of 600^2.)
     factor = compactify(flat_factor("1", "1"))
-    small, large = _transient_bytes(factor, 150), _transient_bytes(factor, 450)
+    assert 300 * 300 >= 2 * DEFAULT_BLOCK_CELLS
+    small, large = _transient_bytes(factor, 300), _transient_bytes(factor, 900)
     assert 0 < large < 1.5 * small
 
 
@@ -267,6 +342,69 @@ def test_sampling_is_deterministic():
     b = sample_grid(factor, domain, (30, 30))
     for name in ("omega", "ricci", "s2", "status"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+# ---------------------------------------------------------------------------
+# The one-pass constancy report against the nan-reduction report it replaced
+
+def nan_reduction_report(grid, target):
+    """(max_abs, mean, worst_point) as ``constancy_report`` computed them
+    with numpy's nan-functions, verbatim."""
+    dev = np.where(grid.status == VALID, grid.ricci - target, np.nan)
+    flat = np.abs(dev).ravel()
+    worst = int(np.nanargmax(flat))
+    i, j = divmod(worst, dev.shape[1])
+    max_abs = float(flat[worst])
+    with np.errstate(over="ignore"):
+        mean = float(np.nanmean(dev))
+        if not math.isfinite(mean) and math.isfinite(max_abs):
+            # the sum overflowed; the mean of dev / max_abs lies in [-1, 1]
+            mean = float(np.nanmean(dev / max_abs)) * max_abs
+    return max_abs, mean, (float(grid.ts[i]), float(grid.xs[j]))
+
+
+def assert_report_is_the_nan_reduction(grid, target):
+    report = analysis.constancy_report(grid, target)
+    max_abs, mean, (t, x) = nan_reduction_report(grid, target)
+    got = (report.max_abs_deviation, report.mean_deviation, *report.worst_point)
+    assert struct.pack("4d", *got) == struct.pack("4d", max_abs, mean, t, x)
+    assert report.n_valid == grid.n_valid
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_is_bitwise_the_nan_reduction(case):
+    factor, domain = CASES[case]()
+    grid = sample_grid(factor, domain, (37, 41))
+    target = factor.target_curvature or 0.0
+    for shift in (0.0, 0.25, -3.0):
+        assert_report_is_the_nan_reduction(grid, target + shift)
+
+
+def test_report_is_bitwise_the_nan_reduction_on_every_status():
+    factor, _ = CASES["liouville_raw"]()
+    factor = dataclasses.replace(factor, domain=Rectangle(-math.inf, math.inf, -0.6, 0.7))
+    grid = sample_grid(factor, Diamond(1.0), (37, 41))
+    assert min(grid.n_valid, grid.n_singular, grid.n_domain_error, grid.count(OUTSIDE)) > 0
+    for target in (2.0, 2.5, -1e300):
+        assert_report_is_the_nan_reduction(grid, target)
+
+
+def test_report_is_bitwise_the_nan_reduction_when_the_sum_overflows():
+    rng = np.random.default_rng(19)
+    shape = (23, 29)
+    status = rng.choice(np.array([VALID, SINGULAR, DOMAIN_ERROR, OUTSIDE], dtype=np.int8),
+                        size=shape, p=[0.7, 0.1, 0.1, 0.1])
+    ricci = np.where(status == VALID, 1.7e308 * rng.uniform(-0.2, 1.0, shape), np.nan)
+    grid = analysis.SampleGrid(
+        factor=None, domain=BOX, chart="tx", ts=np.linspace(-1.0, 1.0, shape[0]),
+        xs=np.linspace(-1.0, 1.0, shape[1]), omega=np.ones(shape), ricci=ricci,
+        s2=np.zeros(shape), status=status, with_ricci=True)
+    for target in (0.0, 1e307, -1e306):
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(np.where(status == VALID, ricci - target, 0.0).sum())
+        assert_report_is_the_nan_reduction(grid, target)
+        # the dev / max_abs fallback gave a finite mean
+        assert math.isfinite(analysis.constancy_report(grid, target).mean_deviation)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +477,7 @@ def assert_bands_match_blocks(factor, domain, resolution, with_ricci):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_bands_match_the_block_sampler(case, with_ricci):
     factor, domain = CASES[case]()
-    # more cells than a default band, and the last band is partial
+    # two default bands, of 90 and 91 rows
     assert_bands_match_blocks(factor, domain, BLOCK_LATTICE, with_ricci)
 
 
