@@ -21,7 +21,7 @@ The script walks through each piece at a worked point.
 import math
 
 from lorentz2d import Antiderivative, Jet2, evaluate, parse, substitute, unparse
-from lorentz2d.jets import apply_elementary, seed
+from lorentz2d.jets import apply_elementary, compose, seed
 
 
 def expression_language() -> None:
@@ -59,8 +59,10 @@ def quadrature() -> None:
     print(f"integral of e^(-l^2) over [0, 1]: {erf_like:.12f} "
           f"(closed form {reference:.12f})")
 
+    # the chain rule through F, whose derivatives are the integrand's jet
     inner = seed("t", (0.5, 0.0))
-    composed = gaussian.jet(inner)
+    f1, f2, _ = gaussian.integrand_jet(inner.value)
+    composed = compose(gaussian.value(inner.value), f1, f2, inner)
     print(f"jet through the integral at t = 0.5: value {composed.value:.12f},"
           f" dt {composed.dt:.12f} = integrand(0.5) = "
           f"{math.exp(-0.25):.12f}")

@@ -40,7 +40,6 @@ from .analysis import (
 from .charts import (
     Diamond,
     Rectangle,
-    Region,
     compactify,
     from_null,
     full_plane,
@@ -122,7 +121,6 @@ __all__ = [
     "Provenance",
     "QuadratureNonConvergence",
     "Rectangle",
-    "Region",
     "SampleGrid",
     "SingularDenominator",
     "StencilOutsideDomain",

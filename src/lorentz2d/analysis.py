@@ -3,7 +3,7 @@
 A ``SampleGrid`` evaluates a factor at cell centres of a regular lattice
 over a domain's bounding box.  Cells outside the domain are marked and
 excluded from all counts; cells inside are valid, singular (denominator
-epsilon band) or domain errors (poles, non-positive factor, overflow,
+SINGULAR_EPS band) or domain errors (poles, non-positive factor, overflow,
 quadrature failure).  Sampling splits the lattice into
 round(n_t * n_x / ``_BLOCK_CELLS``) bands of whole rows, whose row counts
 differ by at most one, and clips each band to the rows and columns of its
@@ -128,6 +128,15 @@ class SampleGrid:
     def n_sampled(self) -> int:
         return self.n_valid + self.n_singular + self.n_domain_error
 
+    def require_valid(self) -> int:
+        """The number of valid cells; ``NoValidSamples`` when there is none."""
+        n_valid = self.n_valid
+        if n_valid == 0:
+            raise NoValidSamples(
+                f"grid has no valid cells ({self.n_singular} singular, "
+                f"{self.n_domain_error} domain errors)")
+        return n_valid
+
 
 def sample_grid(factor, domain=None, resolution: tuple[int, int] = (50, 50),
                 with_ricci: bool = True) -> SampleGrid:
@@ -247,12 +256,8 @@ def constancy_report(grid: SampleGrid, target: float | None = None,
     if not grid.with_ricci:
         raise ValueError("grid was sampled without curvature; "
                          "use sample_grid(..., with_ricci=True)")
+    n_valid = grid.require_valid()
     valid = grid.status == VALID
-    n_valid = int(np.count_nonzero(valid))
-    if n_valid == 0:
-        raise NoValidSamples(
-            f"grid has no valid cells ({grid.n_singular} singular, "
-            f"{grid.n_domain_error} domain errors)")
 
     # deviations are 0 off the valid cells, the array np.nanmean summed (so
     # the mean keeps its bits), and -1 there in |dev| loses every argmax

@@ -20,15 +20,16 @@ points (where compact factors blow up) are never sampled as interior.
 against each other (then it returns a boolean array of their broadcast
 shape).  ``bbox`` is (t_min, t_max, x_min, x_max); a domain is bounded
 when all four are finite, and the whole plane is ``full_plane()``.
+A factor's domain comes from its factory: the whole plane, a
+``Rectangle`` strip for a sec^2 branch, or the ``Diamond`` of
+``compactify``.  Any object with these two methods samples as a domain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
-
-import numpy as np
+from typing import Union
 
 from . import jets
 from .errors import DomainError
@@ -84,29 +85,7 @@ class Diamond:
         return (-w, w, -w, w)
 
 
-@dataclass(frozen=True)
-class Region:
-    """Open set given by a membership predicate plus a bounding box.
-
-    The predicate takes one point; arrays are broadcast against each
-    other and tested point by point.
-    """
-
-    predicate: Callable[[float, float], bool]
-    bounds: tuple[float, float, float, float]
-
-    def contains(self, t, x):
-        if isinstance(t, np.ndarray) or isinstance(x, np.ndarray):
-            t, x = np.broadcast_arrays(t, x)
-            return np.fromiter(map(self.predicate, t.ravel().tolist(), x.ravel().tolist()),
-                               dtype=bool, count=t.size).reshape(t.shape)
-        return self.predicate(t, x)
-
-    def bbox(self) -> tuple[float, float, float, float]:
-        return self.bounds
-
-
-Domain = Union[Rectangle, Diamond, Region]
+Domain = Union[Rectangle, Diamond]
 
 
 def full_plane() -> Rectangle:
@@ -192,13 +171,13 @@ def interval_from_omega(omega, a, b, chart: str):
     return omega * (b * b - a * a)
 
 
-def interval_field(factor, a, b, status=None):
+def interval_field(factor, a, b):
     """Squared-interval diagnostic s^2 = Omega * (x^2 - t^2).
 
     In the null chart the analogue is Omega * u v (the same quantity,
     since x^2 - t^2 = u v).  Level sets of s^2 are the constant-interval
     curves drawn in conformal diagrams; s^2 = 0 picks out the null rays
-    through the origin in every chart.  Floats or arrays (``status`` as in
-    ``factor.value``: failing array points are NaN).
+    through the origin in every chart.  Floats or arrays (failing array
+    points are NaN, as in ``factor.value``).
     """
-    return interval_from_omega(factor.value(a, b, status), a, b, factor.chart)
+    return interval_from_omega(factor.value(a, b), a, b, factor.chart)

@@ -13,7 +13,7 @@ Subcommands, each taking only the flags its handler reads
 
 Exit codes: 0 check passed, 1 check failed, 2 usage/parse/parameter
 error (a grid too large to allocate included), 3 numeric or domain
-failure (empty grid, impossible transform).
+failure (empty grid, no valid cell, impossible transform).
 
 argparse is the one reader of options.  Each entry of a ``--config``
 JSON object is read as the flag ``--key=value`` placed before the
@@ -266,6 +266,7 @@ def _cmd_contour(args: argparse.Namespace) -> int:
     factor = _build_factor(args)
     domain = _resolve_domain(args, factor)
     grid = analysis.sample_grid(factor, domain, args.grid, with_ricci=False)
+    grid.require_valid()
     sets = analysis.extract_level_sets(grid, args.levels or DEFAULT_LEVELS)
     if args.out:
         analysis.export(sets, args.format or "svg", args.out, bounds=domain.bbox())

@@ -23,11 +23,12 @@ Entry points, by input:
 * ``fd_ricci_oracle(field, point)`` -- R from values of Omega alone.
 
 The field's chart picks the formula, never the function's name.  A
-``field`` is a ``ConformalFactor`` (its ``chart``: "tx", "compact" or
-"uv"), an ``Expression`` (chart "uv" when it is written in u, v, else
-"tx") or a callable of (t, x) (chart "tx") that returns a ``Jet2``, or
-a float for the oracle.  ``point`` is in the field's chart: (u, v) for
-a null-chart field.
+``field`` is a ``ConformalFactor``, read through its ``jet`` and
+``value`` (its ``chart``: "tx", "compact" or "uv"), an ``Expression``
+(chart "uv" when it is written in u, v, else "tx") or a callable of
+(t, x) (chart "tx") that returns a ``Jet2``, or a float for the oracle.
+``point`` is in the field's chart: (u, v) for a null-chart field, and is
+not checked against the factor's domain.
 
 All derivatives come from second-order jets, so the only error in these
 formulas is float rounding.  The finite-difference oracle is an

@@ -14,11 +14,12 @@ Solutions of R(Omega) = R0 on 2D Minkowski space come in three families:
   with u = x+t, v = x-t and F, G antiderivatives of e^{phi}, e^{psi}.
 
 Antiderivatives are tabulated once per factor as piecewise Chebyshev
-interpolants on panels built outward from a fixed reference point
-(F(0) = 0); the constant that a different reference would add is
-absorbed by C.  Reading F is a table lookup that calls no integrand, so
-a factor's value at a point does not depend on what was queried before,
-in which order or from which thread.
+interpolants on panels built outward from 0 (F(0) = 0); the constant that
+any other reference point would add is absorbed by C.  A panel is halved
+at most ``MAX_DEPTH`` times before the abscissae beyond it fail.  Reading
+F is a table lookup that calls no integrand, so a factor's value at a
+point does not depend on what was queried before, in which order or from
+which thread.
 
 The jet of a Liouville factor is assembled in the null coordinates, in
 which each ingredient depends on one of them.  The integrands' univariate
@@ -44,15 +45,21 @@ and where a product of slots underflows.
 ``factor_from_expression`` wraps an arbitrary formula (standard or null
 chart) as a factor so the same grid and report machinery applies to it.
 
-Every factory returns a ``ConformalFactor``.  Its ``value_fn``/``jet_fn``
-raise ``SingularDenominator`` inside the epsilon band around D = 0 and
+Every factory returns a ``ConformalFactor`` on its family's domain: the
+whole plane, or the pole-free strip of a sec^2 branch (``compactify``
+gives the diamond).  The factories take no domain; a caller that samples
+elsewhere passes its own domain to ``sample_grid``.  A factor's
+``value_fn``/``jet_fn`` raise ``SingularDenominator`` inside the band
+|D| < ``SINGULAR_EPS`` (the constant when the factor is built) and
 ``DomainError`` outside function domains; its ``value``/``jet`` do the
 same and also raise ``NonPositiveFactor`` wherever the factor is not
 strictly positive.  Given arrays of cell coordinates all four evaluate
 every cell at once instead: a failed cell is NaN, and a singular one is
 also marked ``SINGULAR`` in the optional ``status`` array.  Each slot
 they return then broadcasts to the cells' shape, and may be a float, a
-row, a column or an input array itself, so callers only read it.
+row, a column or an input array itself, so callers only read it.  A
+factory refuses parameters whose derived coefficient overflows with
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -91,9 +98,9 @@ from .expressions import (
 )
 from .jets import Jet2
 
-DEFAULT_SINGULAR_EPS = 1e-8
+SINGULAR_EPS = 1e-8     # half-width of the singular band around D = 0
 DEFAULT_QUADRATURE_TOL = 1e-10
-DEFAULT_MAX_DEPTH = 40
+MAX_DEPTH = 40          # halvings of one quadrature panel before it fails
 
 
 @dataclass(frozen=True)
@@ -139,9 +146,6 @@ class ConformalFactor:
 
     def jet(self, a, b, status=None):
         return _checked(self.jet_fn, a, b, status, Jet2(math.nan))
-
-    def __call__(self, a: float, b: float) -> float:
-        return self.value(a, b)
 
 
 def _checked(fn, a, b, status, failed):
@@ -255,7 +259,7 @@ def _expression_factor(expr: Expression, chart: str, domain, provenance,
 # ---------------------------------------------------------------------------
 # Families
 
-def flat_factor(phi, psi, domain=None) -> ConformalFactor:
+def flat_factor(phi, psi) -> ConformalFactor:
     """Flat factor Omega(t,x) = phi(x+t) * psi(x-t).
 
     ``phi`` and ``psi`` are one-variable expressions (any variable name);
@@ -276,8 +280,7 @@ def flat_factor(phi, psi, domain=None) -> ConformalFactor:
         # the Liouville assembly with D = 1
         return jets.from_null(jets.null_product(phi_jet(x + t), psi_jet(x - t)))
 
-    return _expression_factor(expr, "tx", domain or charts.full_plane(),
-                              provenance, 0.0, jet_fn)
+    return _expression_factor(expr, "tx", charts.full_plane(), provenance, 0.0, jet_fn)
 
 
 def _one_variable_factor(sep: float, shift: float, target: float,
@@ -292,6 +295,10 @@ def _one_variable_factor(sep: float, shift: float, target: float,
         raise BranchYieldsNonPositive(
             f"{family} branch with separation constant {sep!r} has no positive "
             f"factor for curvature {target!r} (coefficient {coeff!r})")
+    if not math.isfinite(coeff):
+        raise ValueError(
+            f"{family} coefficient overflows for separation constant {sep!r} "
+            f"and curvature {target!r}")
     rate = 0.5 * math.sqrt(abs(sep))
     arg = _mul(_c(rate), _add(Variable(coordinate), _c(shift)))
     fn = "sech" if sep > 0.0 else "sec"
@@ -345,7 +352,7 @@ def spacelike_factor(d1: float, d2: float, target: float) -> ConformalFactor:
 # Tabulated antiderivatives
 
 _CHEB_N = 16
-_BASE_WIDTH = 0.5      # the first panel on each side of the reference
+_BASE_WIDTH = 0.5      # the first panel on each side of 0
 # the panels one integrand call samples past a resolved panel: a run of
 # doubling widths, then constant-width runs after its first and second panels
 _RUNS = (4, 3, 1)
@@ -355,9 +362,9 @@ _NOISE = _CHEB_N * float(np.finfo(float).eps)
 
 def _chebyshev_maps(n: int):
     """The n first-kind Chebyshev points of [-1, 1], the map from samples
-    there to interpolant coefficients, and per side (+1 right of the
-    reference, -1 left) the map from those to the coefficients of Q, the
-    interpolant's mean between the panel's inner end and x."""
+    there to interpolant coefficients, and per side (+1 right of 0, -1
+    left) the map from those to the coefficients of Q, the interpolant's
+    mean between the panel's inner end and x."""
     k = np.arange(n)
     theta = np.pi * (k + 0.5) / n
     to_coeffs = (2.0 / n) * np.cos(np.outer(k, theta))
@@ -377,7 +384,7 @@ def _chebyshev_maps(n: int):
         mean[j - 1] = 2.0 * (integral[j] - mean[j]) - mean[j + 1]
     mean[0] = integral[1] - mean[1] - 0.5 * mean[2]
     mean = mean[:n]
-    # left of the reference the inner end is x = 1: reflect x -> -x
+    # left of 0 the inner end is x = 1: reflect x -> -x
     sign = (-1.0) ** k
     return np.cos(theta), to_coeffs, {1.0: mean, -1.0: sign[:, None] * mean * sign}
 
@@ -400,10 +407,10 @@ def _panel_value(row, s):
 
 
 class _Side(NamedTuple):
-    """The panels accepted on one side of the reference, outward, and the
-    panel the walk tries next."""
+    """The panels accepted on one side of 0, outward, and the panel the
+    walk tries next."""
 
-    sign: float                 # +1 right of the reference, -1 left of it
+    sign: float                 # +1 right of 0, -1 left of it
     edge: float                 # outer end of the accepted panels
     width: float                # width of the next panel to try
     halvings: int = 0           # halvings already spent at ``edge``
@@ -418,8 +425,8 @@ class _Table:
     numpy columns are built by the first array read, so a table that only
     floats read, or that a longer one replaces first, never builds them."""
 
-    def __init__(self, reference: float, left: _Side, right: _Side):
-        self.reference, self.left, self.right = reference, left, right
+    def __init__(self, left: _Side, right: _Side):
+        self.left, self.right = left, right
         self.rows = left.panels[::-1] + right.panels
         self.starts = [row[0] for row in self.rows]   # a float's row by bisection
         self.lo = left.edge
@@ -432,9 +439,9 @@ class _Table:
         return (*cols[:6], cols[6].reshape(len(self.rows), _CHEB_N - 1))
 
     def covers(self, s: float) -> bool:
-        # an abscissa >= reference is read from a right panel, so that
-        # F(reference) is 0 exactly
-        return self.lo <= s < self.reference or self.reference <= s <= self.hi
+        # an abscissa >= 0 is read from a right panel, so that F(0) is 0
+        # exactly
+        return self.lo <= s < 0.0 or 0.0 <= s <= self.hi
 
     def row_of(self, s: float):
         return self.rows[bisect_right(self.starts, s) - 1]
@@ -443,7 +450,7 @@ class _Table:
         """``_panel_value`` at every covered entry of ``s``, NaN elsewhere,
         on a row of the gathered columns of each entry's panel."""
         out = np.full(s.shape, math.nan)
-        ok = np.where(s < self.reference, s >= self.lo, s <= self.hi)
+        ok = np.where(s < 0.0, s >= self.lo, s <= self.hi)
         if ok.any():
             s = s[ok]
             lows, inner, base, mid, inv_half, first, rest = self.columns
@@ -454,16 +461,15 @@ class _Table:
 
 
 class Antiderivative:
-    """F(s) = integral of a one-variable integrand from ``reference`` to s.
+    """F(s) = integral of a one-variable integrand from 0 to s.
 
     F is tabulated once, as a piecewise Chebyshev interpolant on panels
-    built outward from ``reference`` in a fixed order and extended on
-    demand.  A panel samples the integrand at 16 first-kind Chebyshev
-    points (never at its ends) and is accepted when its last two
-    coefficients, times its half-width, are within ``tol``, or are at the
-    rounding level of its samples; otherwise it is halved, and after
-    ``max_depth`` halvings the abscissae beyond it raise
-    ``QuadratureNonConvergence``.  The next panel is twice as wide when
+    built outward from 0 in a fixed order and extended on demand.  A
+    panel samples the integrand at 16 first-kind Chebyshev points (never
+    at its ends) and is accepted when its last two coefficients, times
+    its half-width, are within ``tol``, or are at the rounding level of
+    its samples; otherwise it is halved, and after ``MAX_DEPTH`` halvings
+    the abscissae beyond it raise ``QuadratureNonConvergence``.  The next panel is twice as wide when
     the upper half of the accepted one's coefficients already met that
     bound, so a slowly varying integrand reaches far abscissae in
     logarithmically many panels.
@@ -478,23 +484,17 @@ class Antiderivative:
     which gives F', F'' and F''' at once.
     """
 
-    def __init__(self, integrand, reference: float = 0.0,
-                 tol: float = DEFAULT_QUADRATURE_TOL,
-                 max_depth: int = DEFAULT_MAX_DEPTH):
+    def __init__(self, integrand, tol: float = DEFAULT_QUADRATURE_TOL):
         self.integrand = _as_expression(integrand)
         self.variable = _single_variable(self.integrand, "integrand") or "l"
         self._values = compile_expression(self.integrand)
         self._taylor = compile_expression(self.integrand, jets.TAYLOR)
-        self.reference = float(reference)
         self.tol = float(tol)
-        self.max_depth = int(max_depth)
-        self._table = _Table(self.reference,
-                             _Side(-1.0, self.reference, _BASE_WIDTH),
-                             _Side(1.0, self.reference, _BASE_WIDTH))
+        self._table = _Table(_Side(-1.0, 0.0, _BASE_WIDTH), _Side(1.0, 0.0, _BASE_WIDTH))
 
     @property
     def n_panels(self) -> int:
-        """Panels tabulated so far, on both sides of the reference."""
+        """Panels tabulated so far, on both sides of 0."""
         return len(self._table.rows)
 
     def integrand_at(self, s):
@@ -520,26 +520,21 @@ class Antiderivative:
                 raise DomainError(f"antiderivative at {s!r}")
             table = self._covering(s, s)
             if not table.covers(s):
-                side = table.right if s >= self.reference else table.left
+                side = table.right if s >= 0.0 else table.left
                 raise side.failure.with_traceback(None)
         return jets.finite(_panel_value(table.row_of(s), s))
-
-    def jet(self, inner: Jet2) -> Jet2:
-        """Jet of F(inner) through second order."""
-        f1, f2, _ = self.integrand_jet(inner.value)
-        return jets.compose(self.value(inner.value), f1, f2, inner)
 
     def _covering(self, lo: float, hi: float) -> _Table:
         """The table, grown until it covers [lo, hi] or a side fails."""
         table = self._table
         left, right = table.left, table.right
-        while (hi >= self.reference and right.failure is None
+        while (hi >= 0.0 and right.failure is None
                and (right.edge < hi or not right.panels)):
             right = self._grow(right)
-        while lo < self.reference and left.failure is None and left.edge > lo:
+        while lo < 0.0 and left.failure is None and left.edge > lo:
             left = self._grow(left)
         if left is not table.left or right is not table.right:
-            table = _Table(self.reference, left, right)
+            table = _Table(left, right)
             self._table = table   # one store: a reader sees one table whole
         return table
 
@@ -549,8 +544,7 @@ class Antiderivative:
         ``_RUNS``; after a failed one, the same panel halved again and
         again.  The walk takes each panel it would try next while that
         panel was sampled, looked up by (edge, width), so the table depends
-        on nothing but the integrand, ``tol``, ``max_depth`` and how far it
-        reaches."""
+        on nothing but the integrand, ``tol`` and how far it reaches."""
         d, e, w = side.sign, side.edge, side.width
         guesses = [(e, w)]
         if side.halvings:
@@ -602,13 +596,13 @@ class Antiderivative:
                 row = (min(e, b), e, base, float(mid[i]), 1.0 / float(half[i]),
                        mean[i][0], tuple(mean[i][:0:-1]))
                 side = _Side(d, b, 2.0 * w if margin[i] else w, 0, side.panels + (row,))
-            elif side.halvings < self.max_depth:
+            elif side.halvings < MAX_DEPTH:
                 side = side._replace(width=0.5 * w, halvings=side.halvings + 1)
             else:
                 side = side._replace(failure=QuadratureNonConvergence(
                     f"integral of {unparse(self.integrand)} on "
                     f"[{min(e, b)!r}, {max(e, b)!r}] missed tolerance {self.tol!r} "
-                    f"after {self.max_depth} halvings", float(estimate[i])))
+                    f"after {MAX_DEPTH} halvings", float(estimate[i])))
         return side
 
 
@@ -642,15 +636,14 @@ def _off_band(d, dv, eps: float, status, t, x):
 
 def liouville_factor(phi, psi, k: float, C: float, target: float,
                      raw_antiderivative: bool = False,
-                     quadrature_tol: float = DEFAULT_QUADRATURE_TOL,
-                     singular_eps: float = DEFAULT_SINGULAR_EPS,
-                     domain=None) -> ConformalFactor:
+                     quadrature_tol: float = DEFAULT_QUADRATURE_TOL) -> ConformalFactor:
     """General constant-curvature factor
 
         Omega(t, x) = e^{phi(u)} e^{psi(v)} / D(u, v)^2,
         D = k F(u) - (target/(8k)) G(v) + C,
 
-    with u = x+t, v = x-t, F' = e^{phi}, G' = e^{psi}.
+    with u = x+t, v = x-t, F' = e^{phi}, G' = e^{psi}, on the whole
+    plane; it is singular where |D| < ``SINGULAR_EPS``.
 
     By default F and G vanish at 0; any other choice of antiderivative
     constant can be absorbed into C.  With ``raw_antiderivative`` the
@@ -668,6 +661,10 @@ def liouville_factor(phi, psi, k: float, C: float, target: float,
     _single_variable(phi, "phi")
     _single_variable(psi, "psi")
     cg = target / (8.0 * k)
+    if not math.isfinite(cg):
+        raise ValueError(
+            f"liouville coefficient R/(8k) overflows for R = {target!r} and k = {k!r}")
+    eps = SINGULAR_EPS
 
     expr = None
     if raw_antiderivative:
@@ -684,14 +681,14 @@ def liouville_factor(phi, psi, k: float, C: float, target: float,
         expr = _mul(_mul(Call("exp", u_ast), Call("exp", v_ast)),
                     _pow(d_ast, -2))
     else:
-        f_anti = Antiderivative(Call("exp", phi), 0.0, quadrature_tol)
-        g_anti = Antiderivative(Call("exp", psi), 0.0, quadrature_tol)
+        f_anti = Antiderivative(Call("exp", phi), quadrature_tol)
+        g_anti = Antiderivative(Call("exp", psi), quadrature_tol)
 
     def value_fn(t, x, status=None):
         su = x + t
         sv = x - t
         d = (k * f_anti.value(su) - cg * g_anti.value(sv)) + C
-        d = _off_band(d, d, singular_eps, status, t, x)
+        d = _off_band(d, d, eps, status, t, x)
         eu = f_anti.integrand_at(su)
         ev = g_anti.integrand_at(sv)
         return (eu * ev) / (d * d)
@@ -707,7 +704,7 @@ def liouville_factor(phi, psi, k: float, C: float, target: float,
         # precedence over SINGULAR on arrays as it does on floats
         d = (k * f_anti.value(su) - cg * g_anti.value(sv)) + C
         d = jets.checked(d, k * a0, -cg * b0, k * a1, 0.0, -cg * b1)
-        d = _off_band(d, d.value, singular_eps, status, t, x)
+        d = _off_band(d, d.value, eps, status, t, x)
         top = jets.null_product((a0, a1, a2), (b0, b1, b2))
         return jets.from_null(jets.div(top, jets.mul(d, d)))
 
@@ -716,7 +713,7 @@ def liouville_factor(phi, psi, k: float, C: float, target: float,
         "antiderivative": "raw" if raw_antiderivative else "shifted",
         "reference": None if raw_antiderivative else 0.0,
     })
-    return ConformalFactor(chart="tx", domain=domain or charts.full_plane(),
+    return ConformalFactor(chart="tx", domain=charts.full_plane(),
                            provenance=provenance, target_curvature=target,
                            expression=expr, value_fn=value_fn, jet_fn=jet_fn)
 
@@ -724,9 +721,9 @@ def liouville_factor(phi, psi, k: float, C: float, target: float,
 # ---------------------------------------------------------------------------
 # Ad-hoc expressions
 
-def factor_from_expression(source, claimed_curvature: float | None = None,
-                           domain=None) -> ConformalFactor:
-    """Wrap a formula in t,x (or u,v) as a conformal factor.
+def factor_from_expression(source, claimed_curvature: float | None = None) -> ConformalFactor:
+    """Wrap a formula in t,x (or u,v) as a conformal factor on the whole
+    plane.
 
     ``claimed_curvature`` is the constant the caller asserts; reports
     check against it.  Mixing chart variables raises
@@ -744,5 +741,5 @@ def factor_from_expression(source, claimed_curvature: float | None = None,
     chart = "uv" if null else "tx"
     provenance = Provenance("expression", {"source": unparse(expr),
                                            "claimed_R": claimed_curvature})
-    return _expression_factor(expr, chart, domain or charts.full_plane(),
-                              provenance, claimed_curvature)
+    return _expression_factor(expr, chart, charts.full_plane(), provenance,
+                              claimed_curvature)

@@ -160,9 +160,6 @@ class Jet2:
     def __neg__(self):
         return Jet2(-self.value, -self.dt, -self.dx, -self.dtt, -self.dtx, -self.dxx)
 
-    def __pow__(self, exponent):
-        return powc(self, exponent)
-
 
 def _slots(w: Jet2) -> tuple:
     return (w.value, w.dt, w.dx, w.dtt, w.dtx, w.dxx)
@@ -593,8 +590,3 @@ def power(algebra: Algebra, n: float) -> Callable:
         return exp_(mul_(log_(a), exponent))
 
     return through_log
-
-
-def powc(a: Jet2, exponent: float) -> Jet2:
-    """a**exponent for a constant real exponent."""
-    return power(JET2, float(exponent))(a)

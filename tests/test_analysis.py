@@ -22,7 +22,8 @@ from lorentz2d.analysis import (
     report_to_json,
     sample_grid,
 )
-from lorentz2d.charts import Rectangle, Region, compactify
+from lorentz2d import families
+from lorentz2d.charts import Rectangle, compactify
 from lorentz2d.errors import EmptyDomain, NoValidSamples
 from lorentz2d.families import (
     factor_from_expression,
@@ -85,8 +86,9 @@ def test_factor_domain_misses_become_domain_errors():
     assert report.target_R == 2.0
 
 
-def test_singular_band_cells_are_flagged():
-    f = liouville_factor("0", "0", k=1.0, C=1.0, target=2.0, singular_eps=0.2)
+def test_singular_band_cells_are_flagged(monkeypatch):
+    monkeypatch.setattr(families, "SINGULAR_EPS", 0.2)
+    f = liouville_factor("0", "0", k=1.0, C=1.0, target=2.0)
     grid = sample_grid(f, Rectangle(-1.0, 0.0, -1.0, 0.0), resolution=(10, 10))
     assert grid.n_singular > 0
     assert grid.n_valid > 0
@@ -96,7 +98,16 @@ def test_singular_band_cells_are_flagged():
 
 
 def test_empty_domain_raises():
-    nowhere = Region(lambda t, x: False, (0.0, 1.0, 0.0, 1.0))
+    class Nowhere:
+        """A bounded domain with no points."""
+
+        def contains(self, t, x):
+            return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)), dtype=bool)
+
+        def bbox(self):
+            return (0.0, 1.0, 0.0, 1.0)
+
+    nowhere = Nowhere()
     with pytest.raises(EmptyDomain):
         sample_grid(factor_from_expression("1"), nowhere, resolution=(5, 5))
 
@@ -295,8 +306,9 @@ def test_grid_csv_shape():
     assert all(line.endswith(",1") for line in lines[1:])
 
 
-def test_grid_csv_marks_invalid_cells():
-    f = liouville_factor("0", "0", k=1.0, C=1.0, target=2.0, singular_eps=0.2)
+def test_grid_csv_marks_invalid_cells(monkeypatch):
+    monkeypatch.setattr(families, "SINGULAR_EPS", 0.2)
+    f = liouville_factor("0", "0", k=1.0, C=1.0, target=2.0)
     grid = sample_grid(f, Rectangle(-1.0, 0.0, -1.0, 0.0), resolution=(10, 10))
     lines = grid_to_csv(grid).strip().split("\n")
     assert any(line.endswith(",,,,0") for line in lines[1:])

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz2d import analysis
+from lorentz2d import analysis, families
 from lorentz2d.analysis import (
     DOMAIN_ERROR,
     OUTSIDE,
@@ -34,7 +34,7 @@ from lorentz2d.analysis import (
     VALID,
     sample_grid,
 )
-from lorentz2d.charts import Diamond, Rectangle, Region, compactify, interval_from_omega
+from lorentz2d.charts import Diamond, Rectangle, compactify, interval_from_omega
 from lorentz2d.curvature import scalar_from_factor_jet
 from lorentz2d.errors import (
     DomainError,
@@ -133,8 +133,27 @@ def assert_matches_reference(factor, domain, resolution, with_ricci):
     return grid
 
 
-def _disc(t, x):
-    return t * t + x * x < 0.8
+class Disc:
+    """The open disc t^2 + x^2 < 0.8, a domain that is not a rectangle or
+    a diamond; ``cells`` counts the points it has tested."""
+
+    def __init__(self):
+        self.cells = 0
+
+    def contains(self, t, x):
+        inside = t * t + x * x < 0.8
+        self.cells += np.size(inside)
+        return inside
+
+    def bbox(self):
+        return (-1.0, 1.0, -1.0, 1.0)
+
+
+def _banded(eps, build):
+    """``build()`` with the Liouville singular band half-width set to ``eps``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "SINGULAR_EPS", eps)
+        return build()
 
 
 CASES = {
@@ -149,13 +168,11 @@ CASES = {
     "log_domain_errors": lambda: (factor_from_expression("log(1.5 - t^2 - x^2)"),
                                   Rectangle(-1.5, 1.5, -1.5, 1.5)),
     "compact_unit": lambda: (compactify(flat_factor("1", "1")), Diamond()),
-    "compact_liouville": lambda: (compactify(liouville_factor(
-        "l", "l", 1.1, 0.0, 2.0, raw_antiderivative=True, singular_eps=0.05)), Diamond()),
-    "liouville_raw": lambda: (liouville_factor("l", "l", 1.0, 0.0, 2.0,
-                                               raw_antiderivative=True, singular_eps=0.05),
-                              BOX),
-    "region": lambda: (factor_from_expression(README_R2, 2.0),
-                       Region(_disc, (-1.0, 1.0, -1.0, 1.0))),
+    "compact_liouville": lambda: (compactify(_banded(0.05, lambda: liouville_factor(
+        "l", "l", 1.1, 0.0, 2.0, raw_antiderivative=True))), Diamond()),
+    "liouville_raw": lambda: (_banded(0.05, lambda: liouville_factor(
+        "l", "l", 1.0, 0.0, 2.0, raw_antiderivative=True)), BOX),
+    "region": lambda: (factor_from_expression(README_R2, 2.0), Disc()),
     "diamond": lambda: (flat_factor("exp(0.3*l)", "exp(-0.1*l^2)"), Diamond(1.5)),
 }
 
@@ -172,9 +189,9 @@ def test_sample_grid_matches_per_cell_reference(case, with_ricci, monkeypatch):
 
 
 @pytest.mark.parametrize("with_ricci", [True, False])
-def test_shifted_liouville_matches_reference(with_ricci):
-    factor = liouville_factor("0.1*l", "0.05*sin(l)", 1.0, 0.0, 2.0,
-                              singular_eps=0.05)
+def test_shifted_liouville_matches_reference(with_ricci, monkeypatch):
+    monkeypatch.setattr(families, "SINGULAR_EPS", 0.05)
+    factor = liouville_factor("0.1*l", "0.05*sin(l)", 1.0, 0.0, 2.0)
     box = Rectangle(-1.0, 1.0, -2.0, 2.0)
     grid = sample_grid(factor, box, (13, 17), with_ricci=with_ricci)
     omega, ricci, floor, status = reference_grid(factor, box, (13, 17), with_ricci)
@@ -298,15 +315,10 @@ def test_strip_overhangs_stay_on_broadcast_coordinates(case, with_ricci):
 
 
 def test_the_factors_own_domain_is_tested_once_per_cell():
-    calls = []
-
-    def disc(t, x):
-        calls.append((t, x))
-        return t * t + x * x < 0.8
-
-    factor = factor_from_expression("1 + t^2", domain=Region(disc, (-1.0, 1.0, -1.0, 1.0)))
+    disc = Disc()
+    factor = dataclasses.replace(factor_from_expression("1 + t^2"), domain=disc)
     grid = sample_grid(factor, None, (20, 20))
-    assert len(calls) == 400
+    assert disc.cells == 400
     assert grid.n_valid > 0 and grid.count(OUTSIDE) > 0
 
 
@@ -503,7 +515,8 @@ def test_random_formulas_sample_like_the_block_sampler(tree, with_ricci, layout,
                                                        resolution):
     domain = BOX
     if layout.startswith("strip"):
-        factor = factor_from_expression(tree, domain=STRIPS[layout == "strip_x"])
+        factor = dataclasses.replace(factor_from_expression(tree),
+                                     domain=STRIPS[layout == "strip_x"])
     else:
         factor = factor_from_expression(tree)
     if layout == "diamond":
@@ -511,7 +524,7 @@ def test_random_formulas_sample_like_the_block_sampler(tree, with_ricci, layout,
     elif layout == "compact":
         factor, domain = compactify(factor), Diamond()
     elif layout == "region":
-        domain = Region(_disc, (-1.0, 1.0, -1.0, 1.0))
+        domain = Disc()
     assert_bands_match_blocks(factor, domain, resolution, with_ricci)
 
 
@@ -643,14 +656,15 @@ def test_domains_test_membership_on_arrays():
     x = rng.uniform(-4.0, 4.0, 500)
     t[:3], x[:3] = (1.0, -1.0, 0.0), (2.0, 0.5, math.pi)   # boundary points
     for domain in (Rectangle(-1.0, 1.0, -2.0, 2.0), Diamond(), Diamond(1.5),
-                   Region(_disc, (-1.0, 1.0, -1.0, 1.0))):
+                   Disc()):
         expect = [domain.contains(float(a), float(b)) for a, b in zip(t, x)]
         np.testing.assert_array_equal(domain.contains(t, x), expect)
 
 
-def test_antiderivative_array_read_equals_float_reads():
+def test_antiderivative_array_read_equals_float_reads(monkeypatch):
+    monkeypatch.setattr(families, "MAX_DEPTH", 2)
     s = np.array([0.3, np.nan, -0.2, 1.5, 0.3, 0.05])
-    scalar = Antiderivative("exp(-400*l^2)", tol=1e-13, max_depth=2)
+    scalar = Antiderivative("exp(-400*l^2)", tol=1e-13)
     expect = []
     for v in s:
         try:
@@ -658,7 +672,7 @@ def test_antiderivative_array_read_equals_float_reads():
         except QuadratureNonConvergence:
             expect.append(math.nan)
     assert any(math.isnan(e) for e in expect[2:])   # some quadratures fail
-    got = Antiderivative("exp(-400*l^2)", tol=1e-13, max_depth=2).value(s)
+    got = Antiderivative("exp(-400*l^2)", tol=1e-13).value(s)
     np.testing.assert_array_equal(got, expect)
 
 

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz2d import jets
+from lorentz2d import families, jets
 from lorentz2d.analysis import sample_grid
 from lorentz2d.charts import (
     Diamond,
     Rectangle,
-    Region,
     compactify,
     from_null,
     full_plane,
@@ -21,7 +20,7 @@ from lorentz2d.charts import (
     to_null,
 )
 from lorentz2d.curvature import ricci_from_omega
-from lorentz2d.errors import SINGULAR, VALID, DomainError, EvaluationError, NonPositiveFactor
+from lorentz2d.errors import VALID, DomainError, EvaluationError, NonPositiveFactor
 from lorentz2d.expressions import evaluate, parse, unparse
 from lorentz2d.jets import Jet2
 from lorentz2d.families import (
@@ -90,31 +89,6 @@ def test_diamond_membership():
     assert not d.contains(math.pi, 0.0)
     assert d.bbox() == (-math.pi, math.pi, -math.pi, math.pi)
     assert d != full_plane()
-
-
-def test_region_wraps_predicate():
-    disc = Region(lambda t, x: t * t + x * x < 1.0, (-1.0, 1.0, -1.0, 1.0))
-    assert disc.contains(0.5, 0.5)
-    assert not disc.contains(0.9, 0.9)
-    assert disc.bbox() == (-1.0, 1.0, -1.0, 1.0)
-    assert disc != full_plane()
-
-
-def test_region_broadcasts_array_arguments():
-    # a column of t against a row of x is the lattice between them
-    def above_diagonal(t, x):
-        return t * t + x * x < 1.0 and t < x
-
-    region = Region(above_diagonal, (-1.0, 1.0, -1.0, 1.0))
-    t = np.linspace(-1.0, 1.0, 5)[:, None]
-    x = np.linspace(-1.2, 1.2, 7)[None, :]
-    expect = [[above_diagonal(a, b) for b in x[0].tolist()] for a in t[:, 0].tolist()]
-    got = region.contains(t, x)
-    assert got.shape == (5, 7) and got.dtype == bool
-    np.testing.assert_array_equal(got, expect)
-    assert region.contains(0.5, x).tolist() == [expect[3]]
-    with pytest.raises(ValueError):
-        region.contains(np.zeros(3), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +444,13 @@ def test_interval_field_vanishes_on_null_rays():
         assert interval_field(c, a, -a) == 0.0
 
 
-def test_interval_field_on_arrays():
-    # the same product as on floats; a failing point is NaN and a point in
-    # the singular band is marked in ``status``
-    f = liouville_factor("0", "0", k=1.0, C=1.0, target=2.0, singular_eps=0.2)
+def test_interval_field_on_arrays(monkeypatch):
+    # the same product as on floats; a point in the singular band is NaN
+    monkeypatch.setattr(families, "SINGULAR_EPS", 0.2)
+    f = liouville_factor("0", "0", k=1.0, C=1.0, target=2.0)
     t = np.array([-0.3, 0.1, 0.2, -0.5])
     x = np.array([0.4, -0.2, 0.2, -0.5])
-    status = np.full(4, VALID, dtype=np.int8)
-    got = interval_field(f, t, x, status)
-    assert status.tolist() == [VALID, VALID, VALID, SINGULAR]
+    got = interval_field(f, t, x)
     for k in range(3):
         assert got[k] == interval_field(f, float(t[k]), float(x[k]))
     assert math.isnan(got[3])

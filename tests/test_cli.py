@@ -396,6 +396,19 @@ def test_cells_whose_curvature_overflows_are_domain_errors(capsys):
     assert "cells: valid=8 singular=0 domain_error=8" in out
 
 
+def test_contour_with_no_valid_cell_exits_3(tmp_path, capsys):
+    # Omega = -1 is not positive anywhere: this wrote an empty figure and
+    # exited 0, where check and compactify exit 3
+    out = tmp_path / "c.svg"
+    rc = main(["contour", "--omega", "-1", "--domain", "rect:-1,1,-1,1", "--grid", "8x8",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == "error: grid has no valid cells (0 singular, 64 domain errors)\n"
+    assert not out.exists()
+
+
 def test_grid_whose_every_curvature_overflows_exits_3(capsys):
     # Omega^2 and Omega^3 overflow in every cell: this exited 2, the usage
     # code, with numpy's "All-NaN slice encountered"
@@ -427,6 +440,25 @@ def test_non_finite_numbers_exit_2(capsys, argv):
     assert rc == 2
     assert captured.out == ""
     assert "not a finite number" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "timelike", "--c1=-1e308", "--R", "1e-308"],
+    ["family", "spacelike", "--d1", "1e308", "--R", "1e-308"],
+    ["family", "liouville", "--phi", "l", "--psi", "l", "--R", "1e308", "--k", "1e-308",
+     "--raw-antiderivative"],
+    ["check", "--family", "liouville", "--phi", "l", "--psi", "l", "--R", "2",
+     "--k", "1e-310", "--grid", "4x4"],
+], ids=["timelike-coefficient", "spacelike-coefficient", "liouville-raw", "liouville-check"])
+def test_parameters_whose_derived_constant_overflows_exit_2(capsys, argv):
+    # finite flags whose coefficient -c1/(2R), d1/(2R) or R/(8k) is inf:
+    # the descriptors printed "inf*sec(...)", which does not parse back,
+    # and the check sampled a grid of no valid cells and exited 3
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "overflows" in captured.err
 
 
 @pytest.mark.parametrize("entries", [

@@ -36,6 +36,7 @@ from lorentz2d.families import (
     timelike_factor,
 )
 
+from test_array_sampling import _banded
 from test_level_sets import GRIDS, as_vertex_lists
 
 _CSV_HEADER = "t,x,omega,R,s2,valid"
@@ -224,7 +225,7 @@ def _readme_r2():
     # domain errors past the strip |t| < pi/2
     lambda: (timelike_factor(-4.0, 0.0, 2.0), Rectangle(-2.0, 2.0, 0.0, 1.0), (23, 7)),
     # singular cells
-    lambda: (liouville_factor("0", "0", k=1.0, C=1.0, target=2.0, singular_eps=0.2),
+    lambda: (_banded(0.2, lambda: liouville_factor("0", "0", k=1.0, C=1.0, target=2.0)),
              Rectangle(-1.0, 0.0, -1.0, 0.0), (10, 10)),
     lambda: (flat_factor("1", "1"), Rectangle(-1.0, 1.0, -1.0, 1.0), (1, 1)),
 ], ids=["readme-r2", "compact-flat", "sec2-overhang", "singular", "one-cell"])

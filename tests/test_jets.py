@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lorentz2d.errors import DomainError
 from lorentz2d.jets import (
+    JET2,
     Jet2,
     add,
     apply_elementary,
@@ -17,13 +18,18 @@ from lorentz2d.jets import (
     from_null,
     lift,
     mul,
-    powc,
     null_product,
+    power,
     seed,
     sub,
     to_null,
 )
 from test_charts import compose_map
+
+
+def powc(a: Jet2, n: float) -> Jet2:
+    """a**n for a constant n, through the pow rule that compiled formulas use."""
+    return power(JET2, n)(a)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +209,6 @@ def test_operator_dunders_match_functions():
     assert a / 2.0 == div(a, lift(2.0))
     assert 2.0 / b == div(lift(2.0), b)
     assert -a == Jet2(-0.7, -1.0, 0.0, 0.0, 0.0, 0.0)
-    assert a ** 2 == powc(a, 2.0)
 
 
 # ---------------------------------------------------------------------------

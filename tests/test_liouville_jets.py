@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_array_sampling import _extend
 
-from lorentz2d import jets
+from lorentz2d import families, jets
 from lorentz2d.analysis import SINGULAR, VALID, sample_grid
 from lorentz2d.charts import Rectangle
 from lorentz2d.curvature import scalar_from_factor_jet
@@ -84,13 +84,15 @@ def factor_pair(phi, psi, k, C, target, raw=False, tol=1e-10, eps=1e-8):
     """``liouville_factor`` and the same factor with the reference jet; the
     reference reads its own antiderivatives, whose tables depend only on
     the integrand and ``tol``, so F and G agree bitwise."""
-    factor = liouville_factor(phi, psi, k, C, target, raw_antiderivative=raw,
-                              quadrature_tol=tol, singular_eps=eps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "SINGULAR_EPS", eps)
+        factor = liouville_factor(phi, psi, k, C, target, raw_antiderivative=raw,
+                                  quadrature_tol=tol)
     if raw:
         f_anti = g_anti = _ExactExp()
     else:
-        f_anti = Antiderivative(Call("exp", parse(phi)), 0.0, tol)
-        g_anti = Antiderivative(Call("exp", parse(psi)), 0.0, tol)
+        f_anti = Antiderivative(Call("exp", parse(phi)), tol)
+        g_anti = Antiderivative(Call("exp", parse(psi)), tol)
     reference = dataclasses.replace(
         factor, jet_fn=reference_liouville_jet(f_anti, g_anti, k, C, target, eps))
     return factor, reference
