@@ -246,6 +246,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     print(_describe(factor))
     if args.out:
         grid = analysis.sample_grid(factor, _resolve_domain(args, factor), args.grid)
+        grid.require_valid()
         analysis.export(grid, args.format or "csv", args.out)
     return 0
 

@@ -27,12 +27,13 @@ formula of that shape binds its own constants to it.  The algebras share
 each elementary function's value rule and the one power rule, so a jet's
 value slot is bit-identical to the plain evaluation.  Every node's output
 is checked for finiteness once: a jet operation checks the slots it
-builds, and the compiled code checks each value.  A failure on floats is
+builds, and the compiled code checks each value (on arrays, floating-point
+traps stand in for those checks; see ``jets``).  A failure on floats is
 reported at the innermost node that failed, with the point.  ``evaluate``
 accepts bindings to plain floats or to ``Jet2`` seeds.  Bindings may hold
 numpy arrays of cell coordinates: the same code then evaluates every cell
-at once, and a cell that fails comes back NaN (see ``jets``) where a float
-evaluation would raise ``DomainError``.
+at once, and a cell that fails comes back NaN in every slot (see ``jets``)
+where a float evaluation would raise ``DomainError``.
 """
 
 from __future__ import annotations
@@ -362,10 +363,14 @@ def evaluate(expression: Expression, bindings: Mapping[str, float | Jet2]):
     """Evaluate with float bindings (returns float) or Jet2 seeds
     (returns Jet2, in the ``JET2`` algebra; float bindings are lifted to
     constant jets).  Raises DomainError outside real domains, ValueError
-    for unbound variables.  With array bindings, failed cells are NaN
-    instead; a constant part still evaluates on floats, and still raises.
-    Every node's output is checked for finiteness once, and a failure on
-    floats is reported at the innermost failing node."""
+    for unbound variables.  Every node's output is checked for finiteness
+    once, and a failure on floats is reported at the innermost failing
+    node.  With array bindings, failed cells are NaN instead, in every
+    slot; a constant part still evaluates on floats, and still raises.
+    Arrays are evaluated once under floating-point traps
+    (``jets.on_cells``), which leave a failed cell's value NaN but maybe
+    not its partials, so the cells whose value is NaN are poisoned whole
+    at the end, as the per-operation checks would have done."""
     jet = on_arrays = False
     for v in bindings.values():
         if isinstance(v, Jet2):
@@ -374,11 +379,15 @@ def evaluate(expression: Expression, bindings: Mapping[str, float | Jet2]):
         if isinstance(v, np.ndarray):
             on_arrays = True
     fn = compile_expression(expression, jets.JET2 if jet else jets.VALUES)
-    if on_arrays:
-        # overflow and invalid cells are poisoned, not warned about
-        with np.errstate(all="ignore"):
-            return fn(bindings)
-    return fn(bindings)
+    if not on_arrays:
+        return fn(bindings)
+    w = jets.on_cells(fn, bindings.values(), bindings)
+    value = w.value if isinstance(w, Jet2) else w
+    if isinstance(value, np.ndarray):
+        failed = np.isnan(value)
+        if failed.any():
+            return jets.poison(w, failed)
+    return w
 
 
 def compile_expression(expression: Expression, algebra: jets.Algebra = jets.VALUES):

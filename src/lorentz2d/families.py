@@ -57,9 +57,11 @@ strictly positive.  Given arrays of cell coordinates all four evaluate
 every cell at once instead: a failed cell is NaN, and a singular one is
 also marked ``SINGULAR`` in the optional ``status`` array.  Each slot
 they return then broadcasts to the cells' shape, and may be a float, a
-row, a column or an input array itself, so callers only read it.  A
-factory refuses parameters whose derived coefficient overflows with
-``ValueError``.
+row, a column or an input array itself (a float slot may come back as
+a numpy scalar), so callers only read it.  ``value`` and ``jet`` check
+finiteness once per array evaluation, under floating-point traps (see
+``jets``).  A factory refuses parameters whose derived coefficient
+overflows, or underflows to 0, with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -152,7 +154,11 @@ def _checked(fn, a, b, status, failed):
     """``fn(a, b, status)`` where the factor is positive.  Floats raise
     ``NonPositiveFactor`` elsewhere; arrays of cells come back poisoned
     there, and all NaN (``failed``) when a part the same for every cell,
-    such as log(-1), is evaluated on floats and raises."""
+    such as log(-1), is evaluated on floats and raises.  Arrays are
+    evaluated once under floating-point traps (``jets.on_cells``), which
+    leave a failed cell NaN in its value but maybe not in every partial;
+    the positivity test fails every NaN cell, so each comes back NaN in
+    every slot, with the bits of the per-operation checks."""
     if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
         w = fn(a, b, status)
         omega = w.value if isinstance(w, Jet2) else w
@@ -161,9 +167,7 @@ def _checked(fn, a, b, status, failed):
                 f"factor is {omega!r} <= 0 at ({a!r}, {b!r})")
         return w
     try:
-        # overflow and invalid results are poisoned cells, not warnings
-        with np.errstate(all="ignore"):
-            w = fn(a, b, status)
+        w = jets.on_cells(fn, (a, b), a, b, status)
     except EvaluationError:
         w = failed
     # np.greater, not >: a constant factor's value is a float
@@ -284,21 +288,26 @@ def flat_factor(phi, psi) -> ConformalFactor:
 
 
 def _one_variable_factor(sep: float, shift: float, target: float,
-                         coeff: float, coordinate: str, family: str,
+                         sign: float, coordinate: str, family: str,
                          params: dict) -> ConformalFactor:
+    """The factor coeff sech^2 (sep > 0) or coeff sec^2 (sep < 0) of
+    rate sqrt|sep|/2 in ``coordinate``, with coeff = sign*sep/(2 target)."""
     if target == 0.0:
         raise ValueError(f"{family} family needs a nonzero target curvature")
     if sep == 0.0:
         raise BranchYieldsNonPositive(
             f"{family} separation constant 0 degenerates to the zero factor")
-    if coeff <= 0.0:
+    coeff = sign * sep / (2.0 * target)
+    # the branch is decided by the signs, not by the rounded coefficient,
+    # which can underflow to 0 on a positive branch
+    if (sign * sep > 0.0) != (target > 0.0):
         raise BranchYieldsNonPositive(
             f"{family} branch with separation constant {sep!r} has no positive "
             f"factor for curvature {target!r} (coefficient {coeff!r})")
-    if not math.isfinite(coeff):
+    if not 0.0 < coeff < math.inf:
         raise ValueError(
-            f"{family} coefficient overflows for separation constant {sep!r} "
-            f"and curvature {target!r}")
+            f"{family} coefficient {'underflows' if coeff == 0.0 else 'overflows'} "
+            f"for separation constant {sep!r} and curvature {target!r}")
     rate = 0.5 * math.sqrt(abs(sep))
     arg = _mul(_c(rate), _add(Variable(coordinate), _c(shift)))
     fn = "sech" if sep > 0.0 else "sec"
@@ -332,8 +341,7 @@ def timelike_factor(c1: float, c2: float, target: float) -> ConformalFactor:
     c1 < 0 gives the sec^2 branch (positive only for target > 0), on the
     pole-free strip around t = -c2.
     """
-    coeff = -c1 / (2.0 * target) if target != 0.0 else -1.0
-    return _one_variable_factor(c1, c2, target, coeff, "t", "timelike",
+    return _one_variable_factor(c1, c2, target, -1.0, "t", "timelike",
                                 {"c1": c1, "c2": c2, "R": target})
 
 
@@ -343,8 +351,7 @@ def spacelike_factor(d1: float, d2: float, target: float) -> ConformalFactor:
     d1 > 0 gives sech^2 (positive only for target > 0); d1 < 0 gives
     sec^2 (positive only for target < 0).
     """
-    coeff = d1 / (2.0 * target) if target != 0.0 else -1.0
-    return _one_variable_factor(d1, d2, target, coeff, "x", "spacelike",
+    return _one_variable_factor(d1, d2, target, 1.0, "x", "spacelike",
                                 {"d1": d1, "d2": d2, "R": target})
 
 
@@ -564,8 +571,10 @@ class Antiderivative:
         mid = 0.5 * (starts + ends)
         half = 0.5 * np.abs(ends - starts)   # 0 where no double lies between
         try:
-            with np.errstate(all="ignore"):
-                f = self._values({self.variable: mid[:, None] + half[:, None] * _NODES})
+            # every sample checked: a table built inside ``jets.on_cells``
+            # is the table built anywhere else
+            f = jets.checked_ops(self._values,
+                                 {self.variable: mid[:, None] + half[:, None] * _NODES})
         except EvaluationError as exc:   # a part the same at every point fails
             return side._replace(failure=exc)
         f = np.broadcast_to(f, (_BATCH, _CHEB_N))
@@ -619,9 +628,14 @@ class _ExactExp:
 def _off_band(d, dv, eps: float, status, t, x):
     """``d`` (a value or a Jet2 with value ``dv``) outside the singular band
     |D| < eps.  Floats raise ``SingularDenominator`` inside it; array cells
-    inside it are marked ``SINGULAR`` in ``status`` and poisoned."""
+    inside it are marked ``SINGULAR`` in ``status`` and poisoned, unless a
+    partial of the jet ``d`` failed there: a failed integrand comes first,
+    on arrays as on floats.  (Under traps ``jets.checked`` leaves such a
+    NaN partial beside a finite value; otherwise the whole cell is NaN.)"""
     near = abs(dv) < eps
     if isinstance(near, np.ndarray):
+        if isinstance(d, Jet2) and near.any():
+            near &= ~(np.isnan(d.dt) | np.isnan(d.dx))
         if status is not None:
             status[near] = SINGULAR
         return jets.poison(d, near)

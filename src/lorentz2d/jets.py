@@ -45,15 +45,32 @@ cells: every slot becomes NaN there, and NaN survives every later
 operation, so a cell stays failed even when a later op would have turned
 an overflow finite again (1/inf = 0, atan(inf) = pi/2).  ``reject`` and
 ``finite`` are the shared checks; callers read the failure mask back as
-``isnan(value)``.  Array operations leave numpy's overflow and invalid
-warnings to the caller's ``np.errstate``: the results they flag are
-poisoned anyway.
+``isnan(value)``.
+
+On arrays the per-operation finiteness scans run only where no trap can
+stand in for them.  ``on_cells`` checks once that its inputs are finite,
+then evaluates the cells under numpy's floating-point traps (overflow,
+invalid operation and division by zero raise; IEEE 754-2019, section 7).
+While it does, ``checked``, ``_checked1`` and ``finite`` pass array slots
+through unscanned.  Python floats do not trap, so those checks still test
+every float slot, and a jet operation hands a float slot on as a numpy
+scalar, whose later products trap as arrays do (a seed's partials, 0 and
+1, overflow no product).  So when no trap fires, no operation made a
+non-finite number: the only NaNs are those of cells that ``reject``,
+``poison`` or a caller put there, and a NaN partial only ever sits beside
+a NaN value.  The caller's last check on the value (a factor's positivity
+test, ``evaluate``'s final poison) then fails the same cells as the
+per-operation checks would have, with the same bits.  When a trap fires,
+``on_cells`` evaluates again through ``checked_ops``: every operation
+scans its cells, with numpy's warnings off, as all code outside
+``on_cells`` runs.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from contextvars import ContextVar
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -82,6 +99,71 @@ def as_slot(v):
     return v if v.__class__ is float else float(v)
 
 
+# set while ``on_cells`` evaluates under floating-point traps; per thread
+_TRAPPING = ContextVar("lorentz2d_trapping", default=False)
+
+
+def on_cells(fn, cells, *args):
+    """``fn(*args)`` on arrays of cells whose inputs are ``cells`` (floats,
+    arrays or jets), checked once (module docstring): under numpy's
+    floating-point traps with the array checks off, or through
+    ``checked_ops`` when an input is not finite or a trap fires.  A failed
+    cell's value comes back NaN, its partials maybe not: the caller
+    poisons every cell whose value is NaN."""
+    if _all_finite(cells):
+        token = _TRAPPING.set(True)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+                return fn(*args)
+        except FloatingPointError:
+            pass
+        finally:
+            _TRAPPING.reset(token)
+    return checked_ops(fn, *args)
+
+
+def checked_ops(fn, *args):
+    """``fn(*args)`` with every array operation checking its cells, and
+    numpy's warnings off: the results they flag are poisoned anyway."""
+    token = _TRAPPING.set(False)
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    finally:
+        _TRAPPING.reset(token)
+
+
+def _all_finite(cells) -> bool:
+    """Whether every slot of ``cells`` (floats, arrays or jets) is finite:
+    traps see no inf that an input brings in (exp(inf) raises nothing)."""
+    for c in cells:
+        for s in _slots(c) if isinstance(c, Jet2) else (c,):
+            if isinstance(s, np.ndarray):
+                if not np.isfinite(s).all():
+                    return False
+            elif not -1e400 < s < 1e400:
+                return False
+    return True
+
+
+def _trapped(slots: tuple):
+    """``slots`` as an operation under traps hands them on, or None when it
+    must check them: ``on_cells`` is not trapping, or a Python float among
+    them is not finite.  A Python float does not trap, nor does what an
+    inf adds to an array, so each is handed on as a numpy scalar, whose
+    products with the constants and floats to come trap as arrays do."""
+    if not _TRAPPING.get():
+        return None
+    out = []
+    for s in slots:
+        if s.__class__ is float:
+            if not -1e400 < s < 1e400:
+                return None
+            s = np.float64(s)
+        out.append(s)
+    return out
+
+
 def reject(bad, value, message: str):
     """The shared domain check.
 
@@ -99,6 +181,8 @@ def reject(bad, value, message: str):
 def finite(value, message: str = "non-finite result (overflow)"):
     """The shared finiteness check on a value (see ``reject``)."""
     if isinstance(value, np.ndarray):
+        if _TRAPPING.get():
+            return value
         return np.where(np.isfinite(value), value, np.nan)
     if not math.isfinite(value):
         raise DomainError(message)
@@ -199,6 +283,9 @@ def checked(v, dt, dx, dtt, dtx, dxx) -> Jet2:
                 and -1e400 < dtt < 1e400 and -1e400 < dtx < 1e400 and -1e400 < dxx < 1e400):
             return Jet2(v, dt, dx, dtt, dtx, dxx)   # finite floats (1e400 is inf)
         raise DomainError(_NON_FINITE)
+    slots = _trapped((v, dt, dx, dtt, dtx, dxx))
+    if slots is not None:
+        return Jet2(*slots)
     ok = np.isfinite(v)   # a numpy bool when v is a float: &= rebinds it
     for s in (dt, dx, dtt, dtx, dxx):
         ok &= np.isfinite(s)
@@ -295,6 +382,9 @@ def _checked1(f0, f1, f2) -> tuple:
         if -1e400 < f0 < 1e400 and -1e400 < f1 < 1e400 and -1e400 < f2 < 1e400:
             return (f0, f1, f2)   # finite floats (1e400 is inf): kept fast
         raise DomainError(_NON_FINITE)
+    slots = _trapped((f0, f1, f2))
+    if slots is not None:
+        return tuple(slots)
     ok = np.isfinite(f0) & np.isfinite(f1) & np.isfinite(f2)
     return (f0, f1, f2) if ok.all() else poison((f0, f1, f2), ~ok)
 

@@ -19,6 +19,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorentz2d import analysis, families
+from lorentz2d import analysis, families, jets
 from lorentz2d.analysis import (
     DOMAIN_ERROR,
     OUTSIDE,
@@ -684,3 +685,139 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "usage: lorentz2d" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Floating-point traps: an array evaluation runs once under numpy's traps,
+# and again through the per-operation checks only when one fires
+
+def _checks_only(monkeypatch):
+    """Every array evaluation through the per-operation checks, as if every
+    trapped attempt had trapped."""
+    monkeypatch.setattr(jets, "on_cells", lambda fn, cells, *args: jets.checked_ops(fn, *args))
+
+
+def _counted_fallbacks(monkeypatch) -> list:
+    """The list that every later evaluation of a factor's ``value_fn`` or
+    ``jet_fn`` through ``jets.checked_ops`` appends to (a quadrature's own
+    samples go through it as well, and are not counted)."""
+    calls, checked_ops = [], jets.checked_ops
+
+    def counted(fn, *args):
+        if fn.__name__ in ("value_fn", "jet_fn"):
+            calls.append(fn)
+        return checked_ops(fn, *args)
+
+    monkeypatch.setattr(jets, "checked_ops", counted)
+    return calls
+
+
+def _grid_bytes(grid) -> tuple:
+    return tuple(getattr(grid, name).tobytes() for name in FIELDS)
+
+
+@pytest.mark.parametrize("with_ricci", [True, False])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trapped_sampling_is_bitwise_the_checked_sampling(case, with_ricci, monkeypatch):
+    factor, domain = CASES[case]()
+    fallbacks = _counted_fallbacks(monkeypatch)
+    trapped = sample_grid(factor, domain, (37, 41), with_ricci=with_ricci)
+    # no cell of these overflows: the one trapped attempt per band stands
+    assert fallbacks == []
+    _checks_only(monkeypatch)
+    checked = sample_grid(factor, domain, (37, 41), with_ricci=with_ricci)
+    assert fallbacks   # the forced path ran
+    # NaN sign bits included
+    assert _grid_bytes(trapped) == _grid_bytes(checked)
+
+
+@pytest.mark.parametrize("source, with_ricci", [
+    ("1 + 1/exp(1000*x)", True), ("1 + 1/exp(1000*x)", False),
+    ("1 + atan(exp(800*x))", True), ("1 + atan(exp(800*x))", False),
+    ("1 + 1e308*(t + t)", True),
+])
+def test_overflow_turned_finite_falls_back(source, with_ricci, monkeypatch):
+    # exp overflows, and 1/inf = 0 or atan(inf) = pi/2 would read as valid;
+    # in the last, the float product 1e308*2 of a constant and a partial
+    # (d/dt of t + t) overflows, where no array operation sees it
+    factor = factor_from_expression(source)
+    domain = Rectangle(-1.0, 1.0, -1.1, 1.1)
+    fallbacks = _counted_fallbacks(monkeypatch)
+    grid = assert_matches_reference(factor, domain, (3, 23), with_ricci)
+    assert len(fallbacks) == 1   # one band, trapped once
+    assert grid.n_domain_error > 0
+    _checks_only(monkeypatch)
+    assert _grid_bytes(sample_grid(factor, domain, (3, 23), with_ricci=with_ricci)) \
+        == _grid_bytes(grid)
+
+
+def test_trapped_jets_match_the_checked_jets_slot_for_slot(monkeypatch):
+    # the jets themselves, not only the sampled fields: every slot of a
+    # failed cell is +NaN on both paths
+    t = np.linspace(-1.0, 1.0, 7)[:, None]
+    x = np.linspace(-1.1, 1.1, 23)[None, :]
+    factors = [factor_from_expression(source) for source in
+               ("1 + 1e308*(t + t)", "log(1.5 - t^2 - x^2)", README_R2)]
+    factors.append(compactify(flat_factor("1", "1")))
+
+    def slots(w):
+        return [np.broadcast_to(s, (7, 23)).tobytes() for s in
+                (w.value, w.dt, w.dx, w.dtt, w.dtx, w.dxx)]
+
+    trapped = [slots(f.jet(t, x)) for f in factors]
+    _checks_only(monkeypatch)
+    assert trapped == [slots(f.jet(t, x)) for f in factors]
+
+
+def test_failed_integrand_beats_the_singular_band_under_traps(monkeypatch):
+    # at (0, 0): u = 0, where the integrand e^(l/|l|) fails without an
+    # overflow (a division by 0 is rejected before it is made), and D = 0;
+    # a float evaluation raises for the integrand first, so the cell is a
+    # domain error, though D's value (from F's table) is finite and in the band
+    factor = liouville_factor("l/abs(l)", "0", 1.0, 0.0, 8.0)
+    fallbacks = _counted_fallbacks(monkeypatch)
+    grid = assert_matches_reference(factor, BOX, (3, 3), True)
+    assert fallbacks == []
+    assert grid.status[1, 1] == DOMAIN_ERROR
+    _checks_only(monkeypatch)
+    assert _grid_bytes(sample_grid(factor, BOX, (3, 3))) == _grid_bytes(grid)
+
+
+def test_liouville_integrand_overflow_reads_the_table_of_float_reads(monkeypatch):
+    # exp(500*l^2) overflows beyond |l| = 1.19, where atan(inf) = pi/2 would
+    # be a finite sample to a table grown under traps: the quadrature must
+    # see the failed integrand there, as it does when grown from float reads
+    phi = "atan(exp(500*l^2))"
+    factor = liouville_factor(phi, "0", 1.0, 3.0, -1.0)
+    grid = assert_matches_reference(factor, BOX, (9, 11), True)
+    assert 0 < grid.n_valid < grid.n_sampled
+    s = np.linspace(-2.0, 2.0, 41)
+    on_arrays = Antiderivative(f"exp({phi})")
+    trapped = jets.on_cells(on_arrays.value, (s,), s)
+    on_floats = Antiderivative(f"exp({phi})")
+    expect = []
+    for v in s:
+        try:
+            expect.append(on_floats.value(float(v)))
+        except QuadratureNonConvergence:
+            expect.append(math.nan)
+    assert math.isnan(expect[-1])
+    np.testing.assert_array_equal(trapped, expect)
+    assert on_arrays.n_panels == on_floats.n_panels
+
+
+def test_threads_trapping_and_falling_back_keep_the_serial_results():
+    # numpy's error state and the trap flag are per thread: a thread whose
+    # every band falls back must not change one that traps, or the reverse
+    jobs = [(factor_from_expression(README_R2, 2.0), BOX),
+            (factor_from_expression("1 + atan(exp(800*x))"), Rectangle(-1.0, 1.0, -1.1, 1.1))]
+    serial = [_grid_bytes(sample_grid(f, d, (37, 41))) for f, d in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(lambda j: _grid_bytes(sample_grid(*jobs[j % 2], (37, 41))),
+                                 range(40), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [serial[j % 2] for j in range(40)]

@@ -409,6 +409,32 @@ def test_contour_with_no_valid_cell_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_family_with_no_valid_cell_exits_3(tmp_path, capsys):
+    # phi = -1: the factor is negative everywhere; this wrote 16 ",,,,0"
+    # rows and exited 0, where check, compactify and contour exit 3
+    out = tmp_path / "f.csv"
+    rc = main(["family", "flat", "--phi", "-1", "--psi", "1", "--domain", "rect:-1,1,-1,1",
+               "--grid", "4x4", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == "error: grid has no valid cells (0 singular, 16 domain errors)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "timelike", "--c1=-1e-300", "--R", "1e300"],
+    ["family", "spacelike", "--d1", "1e-300", "--R", "1e300"],
+], ids=["timelike", "spacelike"])
+def test_coefficient_that_underflows_exits_2(capsys, argv):
+    # the positive branch's coefficient 1e-300/(2e300) rounds to 0: this was
+    # reported as a branch with no positive factor
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "underflows" in captured.err
+
+
 def test_grid_whose_every_curvature_overflows_exits_3(capsys):
     # Omega^2 and Omega^3 overflow in every cell: this exited 2, the usage
     # code, with numpy's "All-NaN slice encountered"

@@ -142,6 +142,28 @@ def test_timelike_degenerate_parameters():
         timelike_factor(4.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: timelike_factor(-1e-300, 0.0, 1e300),
+    lambda: spacelike_factor(1e-300, 0.0, 1e300),
+    lambda: timelike_factor(1e-300, 0.0, -1e300),
+    lambda: spacelike_factor(-1e-300, 0.0, -1e300),
+], ids=["timelike-sec2", "spacelike-sech2", "timelike-sech2", "spacelike-sec2"])
+def test_coefficient_that_underflows_is_refused_as_an_underflow(build):
+    # positive branches whose coefficient -c1/(2R) or d1/(2R) rounds to 0:
+    # the branch is decided by the signs, not by the rounded coefficient
+    with pytest.raises(ValueError, match="underflows"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: timelike_factor(1e-300, 0.0, 1e300),
+    lambda: spacelike_factor(-1e-300, 0.0, 1e300),
+], ids=["timelike", "spacelike"])
+def test_wrong_sign_branch_whose_coefficient_underflows_is_still_wrong_sign(build):
+    with pytest.raises(BranchYieldsNonPositive, match="no positive factor"):
+        build()
+
+
 def test_spacelike_mirrors_timelike():
     sech_branch = spacelike_factor(4.0, 0.0, 2.0)
     assert sech_branch.expression == parse("sech(x)^2")

@@ -13,6 +13,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from lorentz2d.expressions import (
     Variable,
     _point_of,
     compile_expression,
+    evaluate,
     parse,
 )
 from lorentz2d.jets import Jet2, seed
@@ -278,3 +280,93 @@ def test_threads_compiling_new_shapes_keep_the_table_bounded():
         sys.setswitchinterval(interval)
     assert all(got == want for got, want in results)
     assert len(expressions._SHAPES) <= limit
+
+
+# ---------------------------------------------------------------------------
+# Array evaluations under floating-point traps
+
+def _cells(out, shape) -> tuple:
+    """Every slot's bytes, broadcast to the cells' shape (NaN signs count)."""
+    slots = (out.value, out.dt, out.dx, out.dtt, out.dtx, out.dxx) if isinstance(out, Jet2) else (out,)
+    return tuple(np.broadcast_to(np.asarray(s, dtype=float), shape).tobytes() for s in slots)
+
+
+def _evaluated(tree, bindings, shape):
+    try:
+        out = evaluate(tree, bindings)
+    except (DomainError, ValueError) as err:
+        return ("raised", type(err), str(err))
+    return ("value", _cells(out, shape))
+
+
+def _reference(tree, algebra, bindings, shape):
+    """The closure compiler's cells, every slot of a failed one poisoned."""
+    try:
+        fn = _compile(tree, algebra)
+        with np.errstate(all="ignore"):
+            out = fn(bindings)
+    except (DomainError, ValueError) as err:
+        return ("raised", type(err), str(err))
+    value = out.value if isinstance(out, Jet2) else out
+    if isinstance(value, np.ndarray):
+        out = jets.poison(out, np.isnan(value))
+    return ("value", _cells(out, shape))
+
+
+@settings(max_examples=300, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.shrink])
+@given(FORMULAS, st.lists(_COORDINATES, min_size=6, max_size=6),
+       st.sampled_from([jets.VALUES, jets.JET2]), st.sampled_from([True, True, True, False]))
+def test_trapped_evaluation_is_bitwise_the_checked_one(tree, cells, algebra, bind_x):
+    column = np.array(cells[:2])[:, None]
+    row = np.array(cells[2:5])[None, :]
+    flat = np.array(cells[:3]), np.array(cells[3:])
+    for (tt, xx), shape in (((column, row), (2, 3)), (flat, (3,)), ((flat[0], 0.5), (3,))):
+        bindings = _bindings(algebra, tt, xx, bind_x)
+        trapped = _evaluated(tree, bindings, shape)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jets, "on_cells", lambda fn, cells, *args: jets.checked_ops(fn, *args))
+            checked = _evaluated(tree, bindings, shape)
+        assert trapped == checked
+        assert trapped == _reference(tree, algebra, bindings, shape)
+
+
+def test_failed_cells_are_nan_in_every_slot():
+    t = np.array([-1.0, 0.0, 2.0])
+    x = np.array([0.5, 0.5, 0.5])
+    bindings = {"t": seed("t", (t, x)), "x": seed("x", (t, x))}
+    # a root negation and a root x^0 left -NaN and zero partials
+    for source in ("-log(t)", "log(t)^0", "-(1/exp(1000*t))"):
+        w = evaluate(parse(source), bindings)
+        failed = np.isnan(w.value)
+        assert failed.any() and not failed.all()
+        for slot in (w.value, w.dt, w.dx, w.dtt, w.dtx, w.dxx):
+            slot = np.broadcast_to(slot, t.shape)
+            assert np.isnan(slot[failed]).all() and not np.signbit(slot[failed]).any()
+
+
+def test_overflowing_float_slot_poisons_the_cells_of_an_array_jet():
+    # a Python float does not trap: 1e300 * 1e300 is inf without a signal,
+    # and the checks of float slots still run under traps
+    value = np.array([1.0, 2.0])
+    inf = 1e300 * 1e300
+    w = jets.on_cells(jets.checked, (), value, inf, 0.0, 0.0, 0.0, 0.0)
+    for slot in (w.value, w.dt, w.dx, w.dtt, w.dtx, w.dxx):
+        assert np.isnan(slot).all()
+    f0, f1, f2 = jets.on_cells(jets._checked1, (), value, 1.0, inf)
+    assert np.isnan(f0).all() and np.isnan(f1).all() and np.isnan(f2).all()
+    # a finite float slot is handed on as a numpy scalar, whose products trap
+    w = jets.on_cells(jets.checked, (), value, 2.0, 0.0, 0.0, 0.0, 0.0)
+    assert type(w.dt) is np.float64 and w.dt == 2.0
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            w.dt * 1e308
+
+
+def test_non_finite_inputs_take_the_checked_path():
+    # an infinite coordinate would otherwise pass traps unseen: exp(inf) and
+    # 1/inf raise nothing, and the per-operation checks poison exp(inf)
+    t = np.array([math.inf, 1.0, -math.inf])
+    w = evaluate(parse("1/exp(t) + 1"), {"t": t})
+    np.testing.assert_array_equal(np.isnan(w), [True, False, True])
+    assert w[1] == 1.0 / math.exp(1.0) + 1.0
