@@ -19,7 +19,11 @@ transcendental functions), and no output depends on the band size or on
 which of the two ways a band took.  A band is large enough to spread
 numpy's fixed cost per call over many cells, and small enough to bound
 the peak memory whatever the number of rows (a row of more than
-``_BLOCK_CELLS`` cells is a band of its own).  Sampling is deterministic:
+``_BLOCK_CELLS`` cells is a band of its own).  The memory a band frees
+stays resident for the next band and the next sample: on glibc, importing
+this module tells the allocator to keep up to 64 MiB of freed heap
+(``_keep_freed_heap``), so a sample does not take a page fault for every
+page of its temporaries.  Sampling is deterministic:
 two runs with the same inputs produce bitwise-identical arrays.
 
 ``constancy_report`` aggregates the curvature deviation from a target
@@ -54,8 +58,10 @@ a ``data-level`` attribute.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -84,7 +90,43 @@ from .errors import (
 # moves by +-20%).  The intermediate arrays grow with the band all the
 # same: 1.4 / 2.8 / 5.6 / 8.2 MB on a 300^2 jet sample of the compactified
 # unit factor at 4096 / 8192 / 16384 / 32768, and 13.6 MB in one band.
+# Those bytes are freed when a band ends and stay resident for the next
+# (``_keep_freed_heap``).
 _BLOCK_CELLS = 16384
+
+
+def _keep_freed_heap() -> None:
+    """Tell glibc to keep up to 64 MiB of freed heap instead of returning it.
+
+    By default glibc trims the free top of the heap once it passes a
+    dynamic threshold of twice the largest freed mmap chunk, a few hundred
+    KB here, so a band's temporaries (1.5-3 MB) went back to the kernel
+    when each sample ended and the next sample took a zero-filled page
+    fault for every page of them: 106-491 minor faults of about 1 us each
+    per sample of the ``verify_grid`` kinds at their benchmark sides, the
+    flat pair excepted.  Setting the
+    trim threshold alone would turn the dynamic mmap threshold off and pin
+    it at 128 KiB, so larger arrays would be mmapped and faulted on every
+    use: the mmap threshold is set first, and the trim threshold only when
+    glibc took it (it refuses 32 MiB on 32-bit builds).  Other C libraries
+    are left as they are.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):   # no confstr, or not glibc
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD (-3) at the 64-bit ceiling of glibc's own dynamic
+    # threshold, then M_TRIM_THRESHOLD (-1) at twice that, where its
+    # dynamic rule would put it
+    if mallopt(-3, 32 << 20):
+        mallopt(-1, 64 << 20)
+
+
+_keep_freed_heap()
 
 _CSV_HEADER = "t,x,omega,R,s2,valid"
 

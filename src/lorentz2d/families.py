@@ -52,8 +52,9 @@ elsewhere passes its own domain to ``sample_grid``.  A factor's
 ``value_fn``/``jet_fn`` raise ``SingularDenominator`` inside the band
 |D| < ``SINGULAR_EPS`` (the constant when the factor is built) and
 ``DomainError`` outside function domains; its ``value``/``jet`` do the
-same and also raise ``NonPositiveFactor`` wherever the factor is not
-strictly positive.  Given arrays of cell coordinates all four evaluate
+same, raise ``DomainError`` on a float result that is not finite, and
+raise ``NonPositiveFactor`` wherever the factor is not strictly
+positive.  Given arrays of cell coordinates all four evaluate
 every cell at once instead: a failed cell is NaN, and a singular one is
 also marked ``SINGULAR`` in the optional ``status`` array.  Each slot
 they return then broadcasts to the cells' shape, and may be a float, a
@@ -152,16 +153,19 @@ class ConformalFactor:
 
 def _checked(fn, a, b, status, failed):
     """``fn(a, b, status)`` where the factor is positive.  Floats raise
-    ``NonPositiveFactor`` elsewhere; arrays of cells come back poisoned
-    there, and all NaN (``failed``) when a part the same for every cell,
-    such as log(-1), is evaluated on floats and raises.  Arrays are
-    evaluated once under floating-point traps (``jets.on_cells``), which
-    leave a failed cell NaN in its value but maybe not in every partial;
-    the positivity test fails every NaN cell, so each comes back NaN in
-    every slot, with the bits of the per-operation checks."""
+    ``DomainError`` on a non-finite value (an overflow such as inf/inf
+    that the unchecked float arithmetic of a ``value_fn`` turned into
+    NaN) and ``NonPositiveFactor`` on a non-positive one; arrays of cells
+    come back poisoned there, and all NaN (``failed``) when a part the
+    same for every cell, such as log(-1), is evaluated on floats and
+    raises.  Arrays are evaluated once under floating-point traps
+    (``jets.on_cells``), which leave a failed cell NaN in its value but
+    maybe not in every partial; the positivity test fails every NaN cell,
+    so each comes back NaN in every slot, with the bits of the
+    per-operation checks."""
     if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
         w = fn(a, b, status)
-        omega = w.value if isinstance(w, Jet2) else w
+        omega = jets.finite(w.value if isinstance(w, Jet2) else w)
         if omega <= 0.0:
             raise NonPositiveFactor(
                 f"factor is {omega!r} <= 0 at ({a!r}, {b!r})")

@@ -520,7 +520,10 @@ def _d_exp(a):
 
 
 def _d_log(a):
-    return (_log(a), 1.0 / a, _over(-1.0, a * a))
+    # the partials divide by the rejected argument: an array cell at 0 is
+    # NaN there, not a division by zero that would trap
+    a = reject(a <= 0.0, a, "log of non-positive value {!r}")
+    return (backend(a).log(a), 1.0 / a, _over(-1.0, a * a))
 
 
 def _d_sin(a):

@@ -21,6 +21,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -677,12 +678,17 @@ def test_antiderivative_array_read_equals_float_reads(monkeypatch):
     np.testing.assert_array_equal(got, expect)
 
 
-def test_python_dash_m_runs_the_cli():
+def _src_env() -> dict:
+    """The environment with the package's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "lorentz2d", "--help"],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "usage: lorentz2d" in proc.stdout
 
@@ -749,6 +755,21 @@ def test_overflow_turned_finite_falls_back(source, with_ricci, monkeypatch):
     _checks_only(monkeypatch)
     assert _grid_bytes(sample_grid(factor, domain, (3, 23), with_ricci=with_ricci)) \
         == _grid_bytes(grid)
+
+
+def test_log_at_zero_stays_on_the_trapped_path(monkeypatch):
+    # the middle column is x = 0 exactly, where log's partials divided by
+    # the unrejected 0 and trapped, so the band ran again with every
+    # operation checked, though the cell is rejected either way
+    factor = factor_from_expression("1 + log(x)")
+    domain = Rectangle(-1.0, 1.0, -1.1, 1.1)
+    fallbacks = _counted_fallbacks(monkeypatch)
+    grid = assert_matches_reference(factor, domain, (3, 23), True)
+    assert grid.xs[11] == 0.0
+    assert fallbacks == []
+    assert grid.n_domain_error > 0
+    _checks_only(monkeypatch)
+    assert _grid_bytes(sample_grid(factor, domain, (3, 23))) == _grid_bytes(grid)
 
 
 def test_trapped_jets_match_the_checked_jets_slot_for_slot(monkeypatch):
@@ -821,3 +842,81 @@ def test_threads_trapping_and_falling_back_keep_the_serial_results():
     finally:
         sys.setswitchinterval(interval)
     assert runs == [serial[j % 2] for j in range(40)]
+
+
+# ---------------------------------------------------------------------------
+# Freed heap: glibc keeps a sample's freed band temporaries for the next one
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# Five warm samples of the compactified unit factor at 146^2, in a fresh
+# process: what glibc trims depends on what the process freed before
+_WARM_FAULTS = """
+import resource
+from lorentz2d.analysis import sample_grid
+from lorentz2d.charts import compactify
+from lorentz2d.families import flat_factor
+factor = compactify(flat_factor("1", "1"))
+sample_grid(factor, None, (146, 146))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    sample_grid(factor, None, (146, 146))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the trim threshold is glibc's")
+def test_warm_sampling_takes_no_page_faults():
+    proc = subprocess.run([sys.executable, "-c", _WARM_FAULTS], env=_src_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    # a trimmed heap faults every page of the bands' temporaries back in,
+    # about 4000 faults over the five samples
+    assert int(proc.stdout) < 100
+
+
+class _Mallopt:
+    """A stand-in for glibc's ``mallopt`` as ``ctypes`` hands it out (it
+    takes ``argtypes`` and ``restype``): it records its calls and returns
+    ``accepted``."""
+
+    def __init__(self, accepted: int):
+        self.calls, self.accepted = [], accepted
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.accepted
+
+
+def _fake_libc(monkeypatch, accepted: int) -> list:
+    """The calls that ``ctypes.CDLL(None).mallopt`` gets from now on."""
+    mallopt = _Mallopt(accepted)
+    monkeypatch.setattr(analysis.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    return mallopt.calls
+
+
+@pytest.mark.parametrize("failure", [AttributeError, ValueError, OSError, None])
+def test_other_c_libraries_get_no_mallopt(failure, monkeypatch):
+    # no os.confstr (Windows), no such name (macOS, musl), or no value
+    def confstr(name):
+        if failure is None:
+            return None
+        raise failure(name)
+
+    monkeypatch.setattr(analysis.os, "confstr", confstr)
+    calls = _fake_libc(monkeypatch, 1)
+    analysis._keep_freed_heap()
+    assert calls == []
+
+
+@pytest.mark.parametrize("accepted", [1, 0])
+def test_glibc_trim_threshold_only_beside_its_mmap_threshold(accepted, monkeypatch):
+    # a trim threshold alone would pin the mmap threshold at 128 KiB
+    monkeypatch.setattr(analysis.os, "confstr", lambda name: "glibc 2.36")
+    calls = _fake_libc(monkeypatch, accepted)
+    analysis._keep_freed_heap()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)][:1 + accepted]

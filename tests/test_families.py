@@ -15,6 +15,7 @@ from lorentz2d.charts import Diamond, Rectangle, full_plane
 from lorentz2d.curvature import fd_ricci_oracle, ricci_from_omega
 from lorentz2d.errors import (
     BranchYieldsNonPositive,
+    DomainError,
     EvaluationError,
     MixedChartVariables,
     NonPositiveFactor,
@@ -539,6 +540,19 @@ def test_liouville_singular_eps_is_respected(monkeypatch):
     # here D(0,0) = 1 > eps but D = 0.3 at u = -0.7, v = 0
     with pytest.raises(SingularDenominator):
         f.value(-0.35, -0.35)
+
+
+def test_liouville_float_overflow_is_a_domain_error():
+    # e^400 * e^400 and D^2 overflow, and the value's float arithmetic made
+    # inf / inf = NaN of them, which the positivity test let through while
+    # the jet raised; both raise now, and the array cell is a domain error
+    f = liouville_factor("400", "400", 1.0, 1.0, 2.0)
+    for at_point in (f.value, f.jet):
+        with pytest.raises(DomainError):
+            at_point(0.5, 0.5)
+    cells = np.array([0.5])
+    assert np.isnan(f.value(cells, cells)).all()
+    assert np.isnan(f.jet(cells, cells).value).all()
 
 
 @pytest.mark.parametrize("build", [
