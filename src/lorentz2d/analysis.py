@@ -46,8 +46,9 @@ A level set's polylines are (n, 2) float arrays, t then x: the chained
 vertices of all levels are stacked into one array and each polyline is a
 view into it, so no vertex becomes a Python tuple on the way.
 
-Exports: grid -> CSV, report -> JSON, level sets -> CSV or SVG, each
-built from ``tolist()`` arrays.  The level-set exporters concatenate the
+Exports: grid -> CSV (its first two columns t, x or, for a null-chart
+factor, u, v), report -> JSON, level sets -> CSV or SVG, each built from
+``tolist()`` arrays.  The level-set exporters concatenate the
 polylines into one (N, 2) float array (a hand-built polyline, a list of
 (t, x) pairs or an array, is read with ``np.asarray``), call ``repr``
 (round-trip) once per distinct CSV coordinate and do the SVG pixel maths
@@ -68,7 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .charts import interval_field, interval_from_omega
+from .charts import coordinate_names, interval_field, interval_from_omega
 from .curvature import scalar_from_factor_jet
 from .errors import (
     DOMAIN_ERROR,
@@ -128,7 +129,7 @@ def _keep_freed_heap() -> None:
 
 _keep_freed_heap()
 
-_CSV_HEADER = "t,x,omega,R,s2,valid"
+_CSV_COLUMNS = "omega,R,s2,valid"
 
 
 @dataclass
@@ -137,12 +138,12 @@ class SampleGrid:
 
     Arrays are indexed [i, j] with first coordinate ``ts[i]`` and second
     ``xs[j]`` (t and x in the standard and compact charts, u and v in
-    the null chart).  Invalid cells hold NaN in the field arrays.
+    the null chart: the chart is ``factor.chart``).  Invalid cells hold
+    NaN in the field arrays.  The grid keeps its factor, not the domain
+    it was sampled on.
     """
 
     factor: object
-    domain: object
-    chart: str
     ts: np.ndarray
     xs: np.ndarray
     omega: np.ndarray
@@ -259,9 +260,8 @@ def sample_grid(factor, domain=None, resolution: tuple[int, int] = (50, 50),
     if sampled == 0:
         raise EmptyDomain(
             f"no cell centres of a {n_t}x{n_x} lattice fall inside {domain!r}")
-    return SampleGrid(factor=factor, domain=domain, chart=chart, ts=ts, xs=xs,
-                      omega=omega, ricci=ricci, s2=s2, status=status,
-                      with_ricci=with_ricci)
+    return SampleGrid(factor=factor, ts=ts, xs=xs, omega=omega, ricci=ricci,
+                      s2=s2, status=status, with_ricci=with_ricci)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +576,8 @@ def _chain_segments(ends):
 # Exports
 
 def grid_to_csv(grid: SampleGrid) -> str:
-    """Rows for every sampled cell (outside cells are skipped), row-major."""
+    """Rows for every sampled cell (outside cells are skipped), row-major;
+    the first two columns are named after the factor's chart."""
     ts = [repr(t) for t in grid.ts.tolist()]
     xs = [repr(x) for x in grid.xs.tolist()]
     cells = np.flatnonzero(grid.status != OUTSIDE)
@@ -585,7 +586,7 @@ def grid_to_csv(grid: SampleGrid) -> str:
     omega, ricci, s2 = (arr.ravel()[cells].tolist()
                         for arr in (grid.omega, grid.ricci, grid.s2))
     with_ricci = grid.with_ricci
-    lines = [_CSV_HEADER]
+    lines = [",".join((*coordinate_names(grid.factor.chart), _CSV_COLUMNS))]
     for i, j, ok, om, rr, ss in zip(rows.tolist(), cols.tolist(), valid.tolist(),
                                     omega, ricci, s2):
         if ok:

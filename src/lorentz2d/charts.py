@@ -22,7 +22,8 @@ shape).  ``bbox`` is (t_min, t_max, x_min, x_max); a domain is bounded
 when all four are finite, and the whole plane is ``full_plane()``.
 A factor's domain comes from its factory: the whole plane, a
 ``Rectangle`` strip for a sec^2 branch, or the ``Diamond`` of
-``compactify``.  Any object with these two methods samples as a domain.
+``compactify``, the one diamond |t| + |x| < pi.  Any object with these
+two methods samples as a domain (a smaller diamond, a disc).
 """
 
 from __future__ import annotations
@@ -73,16 +74,13 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class Diamond:
-    """Open diamond |t| + |x| < half_width (the compactified plane)."""
-
-    half_width: float = math.pi
+    """Open diamond |t| + |x| < pi (the compactified plane)."""
 
     def contains(self, t, x):
-        return (abs(x) < self.half_width) & (abs(t) < self.half_width - abs(x))
+        return (abs(x) < math.pi) & (abs(t) < math.pi - abs(x))
 
     def bbox(self) -> tuple[float, float, float, float]:
-        w = self.half_width
-        return (-w, w, -w, w)
+        return (-math.pi, math.pi, -math.pi, math.pi)
 
 
 Domain = Union[Rectangle, Diamond]
@@ -90,6 +88,11 @@ Domain = Union[Rectangle, Diamond]
 
 def full_plane() -> Rectangle:
     return Rectangle(-math.inf, math.inf, -math.inf, math.inf)
+
+
+def coordinate_names(chart: str) -> tuple[str, str]:
+    """The names of a chart's coordinates: u, v in the null chart, else t, x."""
+    return ("u", "v") if chart == "uv" else ("t", "x")
 
 
 def to_null(t: float, x: float) -> tuple[float, float]:
@@ -155,7 +158,7 @@ def compactify(factor) -> "ConformalFactor":
 
     return ConformalFactor(
         chart="compact",
-        domain=Diamond(math.pi),
+        domain=Diamond(),
         provenance=Provenance("compactified", {"inner": factor.provenance}),
         target_curvature=factor.target_curvature,
         expression=expr,

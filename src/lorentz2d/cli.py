@@ -219,7 +219,8 @@ def _verify(args: argparse.Namespace, factor, domain):
     print(f"cells: valid={report.n_valid} singular={report.n_singular} "
           f"domain_error={report.n_domain_error}")
     print(f"max |R - ({report.target_R:g})| = {report.max_abs_deviation:.6e} "
-          f"at (t, x) = ({report.worst_point[0]:.6g}, {report.worst_point[1]:.6g})")
+          f"at ({', '.join(charts.coordinate_names(factor.chart))}) = "
+          f"({report.worst_point[0]:.6g}, {report.worst_point[1]:.6g})")
     print(f"mean deviation = {report.mean_deviation:.6e}")
     print(f"{'PASS' if report.passed else 'FAIL'} (tolerance {report.tolerance:g})")
     return grid, report

@@ -23,12 +23,16 @@ Entry points, by input:
 * ``fd_ricci_oracle(field, point)`` -- R from values of Omega alone.
 
 The field's chart picks the formula, never the function's name.  A
-``field`` is a ``ConformalFactor``, read through its ``jet`` and
-``value`` (its ``chart``: "tx", "compact" or "uv"), an ``Expression``
-(chart "uv" when it is written in u, v, else "tx") or a callable of
-(t, x) (chart "tx") that returns a ``Jet2``, or a float for the oracle.
-``point`` is in the field's chart: (u, v) for a null-chart field, and is
-not checked against the factor's domain.
+``field`` is a ``ConformalFactor``, or any object with its ``jet``,
+``value`` and ``chart`` ("tx", "compact" or "uv"), read through those,
+or a callable of (t, x) (chart "tx") that returns a ``Jet2``, or a float
+for the oracle; anything else raises ``TypeError``.  A formula is read
+as ``families.factor_from_expression(formula)``, whose ``jet`` and
+``value`` reject a non-positive factor; a log field, which may be <= 0,
+is read through an object holding that factor's unchecked ``jet_fn``
+and ``value_fn`` as ``jet`` and ``value``, and its ``chart``.  ``point``
+is in the field's chart: (u, v) for a null-chart field, and is not
+checked against the factor's domain.
 
 All derivatives come from second-order jets, so the only error in these
 formulas is float rounding.  The finite-difference oracle is an
@@ -42,7 +46,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import expressions, families, jets
+from . import jets
 from .errors import EvaluationError, NonPositiveFactor, StencilOutsideDomain
 from .jets import Jet2
 
@@ -50,13 +54,9 @@ Point = tuple[float, float]
 
 
 def _field(field) -> tuple[Callable[..., Jet2], Callable[..., float], str]:
-    """``(jet, value, chart)`` of a factor, an expression or a callable."""
+    """``(jet, value, chart)`` of a factor or a callable."""
     if hasattr(field, "jet"):
         return field.jet, field.value, field.chart
-    if isinstance(field, expressions.NODES):
-        # unchecked functions: a log field may be <= 0
-        factor = families.factor_from_expression(field)
-        return factor.jet_fn, factor.value_fn, factor.chart
     if callable(field):
         return field, field, "tx"
     raise TypeError(f"cannot evaluate {field!r} as a field")

@@ -27,13 +27,13 @@ formula of that shape binds its own constants to it.  The algebras share
 each elementary function's value rule and the one power rule, so a jet's
 value slot is bit-identical to the plain evaluation.  Every node's output
 is checked for finiteness once: a jet operation checks the slots it
-builds, and the compiled code checks each value (on arrays, floating-point
-traps stand in for those checks; see ``jets``).  A failure on floats is
+builds, and the compiled code checks each value.  A failure on floats is
 reported at the innermost node that failed, with the point.  ``evaluate``
-accepts bindings to plain floats or to ``Jet2`` seeds.  Bindings may hold
-numpy arrays of cell coordinates: the same code then evaluates every cell
-at once, and a cell that fails comes back NaN in every slot (see ``jets``)
-where a float evaluation would raise ``DomainError``.
+accepts bindings to plain floats or to ``Jet2`` seeds.  The compiled
+functions also take numpy arrays of cell coordinates and then evaluate
+every cell at once, a failed cell NaN where a float would raise
+``DomainError`` (see ``jets``); a factor's ``value`` and ``jet``
+(``families.factor_from_expression``) are the array entry points.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Union
 
 import numpy as np
@@ -347,14 +347,12 @@ def unparse(expression: Expression) -> str:
 # which is then called with the bindings.  Formulas of one shape share that
 # function's code: a shape is the tree with every constant replaced by a
 # slot (pow exponents, functions, operators and variables stay), and
-# ``_SHAPES`` keeps the code generated per (shape, algebra), up to
-# ``_SHAPE_LIMIT`` of them, the oldest dropped first.  A compile walks the
-# tree once and binds the formula's constants and nodes to the shared code.
-# Factories compile their formulas when they are built.
+# ``_generate`` caches the code generated per (shape, algebra), up to
+# ``_SHAPE_LIMIT`` of them, the least recently used dropped first.  A
+# compile walks the tree once and binds the formula's constants and nodes
+# to the shared code.  Factories compile their formulas when they are built.
 
 _SHAPE_LIMIT = 256
-_SHAPES: dict = {}
-_SHAPES_LOCK = threading.Lock()
 # the only rules written inline: exactly the value algebra's own add, sub, mul
 _INFIX = {operator.add: "+", operator.sub: "-", operator.mul: "*"}
 
@@ -364,30 +362,9 @@ def evaluate(expression: Expression, bindings: Mapping[str, float | Jet2]):
     (returns Jet2, in the ``JET2`` algebra; float bindings are lifted to
     constant jets).  Raises DomainError outside real domains, ValueError
     for unbound variables.  Every node's output is checked for finiteness
-    once, and a failure on floats is reported at the innermost failing
-    node.  With array bindings, failed cells are NaN instead, in every
-    slot; a constant part still evaluates on floats, and still raises.
-    Arrays are evaluated once under floating-point traps
-    (``jets.on_cells``), which leave a failed cell's value NaN but maybe
-    not its partials, so the cells whose value is NaN are poisoned whole
-    at the end, as the per-operation checks would have done."""
-    jet = on_arrays = False
-    for v in bindings.values():
-        if isinstance(v, Jet2):
-            jet = True
-            v = v.value
-        if isinstance(v, np.ndarray):
-            on_arrays = True
-    fn = compile_expression(expression, jets.JET2 if jet else jets.VALUES)
-    if not on_arrays:
-        return fn(bindings)
-    w = jets.on_cells(fn, bindings.values(), bindings)
-    value = w.value if isinstance(w, Jet2) else w
-    if isinstance(value, np.ndarray):
-        failed = np.isnan(value)
-        if failed.any():
-            return jets.poison(w, failed)
-    return w
+    once, and a failure is reported at the innermost failing node."""
+    jet = any(isinstance(v, Jet2) for v in bindings.values())
+    return compile_expression(expression, jets.JET2 if jet else jets.VALUES)(bindings)
 
 
 def compile_expression(expression: Expression, algebra: jets.Algebra = jets.VALUES):
@@ -396,14 +373,7 @@ def compile_expression(expression: Expression, algebra: jets.Algebra = jets.VALU
     does: the code generated for the formula's shape, bound to the
     formula's own constants and nodes."""
     constants, nodes = [], []
-    key = (_shape(expression, constants, nodes), algebra)
-    make = _SHAPES.get(key)
-    if make is None:
-        make = _generate(key[0], algebra)
-        with _SHAPES_LOCK:
-            while len(_SHAPES) >= _SHAPE_LIMIT:
-                del _SHAPES[next(iter(_SHAPES))]
-            _SHAPES[key] = make
+    make = _generate(_shape(expression, constants, nodes), algebra)
     lift = algebra.lift
     return make(nodes, *[lift(c) for c in constants])
 
@@ -457,6 +427,7 @@ def _shape(expression: Expression, constants: list, nodes: list):
     return key
 
 
+@lru_cache(maxsize=_SHAPE_LIMIT)
 def _generate(shape, algebra: jets.Algebra):
     """``make(nodes, *constants)``, the factory of the function of
     ``shape`` in ``algebra``: straight-line code in evaluation order

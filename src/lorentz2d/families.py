@@ -490,16 +490,16 @@ class Antiderivative:
     queried before, in which order, or from which thread, and an array
     of abscissae gives bitwise the values of its entries one at a time.
     An array entry that is NaN or not covered comes back NaN.
-    Derivatives are exact and never read the table: ``integrand_jet``
-    evaluates the integrand in the univariate Taylor algebra of ``jets``,
-    which gives F', F'' and F''' at once.
+    Derivatives are exact and never read the table: ``integrand_jet(s)``
+    is the univariate Taylor jet of the integrand at s, (F', F'', F''')
+    at once, seeded as a flat or one-variable factor seeds its formulas.
     """
 
     def __init__(self, integrand, tol: float = DEFAULT_QUADRATURE_TOL):
         self.integrand = _as_expression(integrand)
         self.variable = _single_variable(self.integrand, "integrand") or "l"
         self._values = compile_expression(self.integrand)
-        self._taylor = compile_expression(self.integrand, jets.TAYLOR)
+        self.integrand_jet = _taylor(self.integrand, self.variable)
         self.tol = float(tol)
         self._table = _Table(_Side(-1.0, 0.0, _BASE_WIDTH), _Side(1.0, 0.0, _BASE_WIDTH))
 
@@ -510,11 +510,6 @@ class Antiderivative:
 
     def integrand_at(self, s):
         return self._values({self.variable: s})
-
-    def integrand_jet(self, s):
-        """(integrand, integrand', integrand'') at s, i.e. (F', F'', F'''):
-        the univariate Taylor jet of the integrand."""
-        return self._taylor({self.variable: (jets.as_slot(s), 1.0, 0.0)})
 
     def value(self, s):
         if isinstance(s, np.ndarray):

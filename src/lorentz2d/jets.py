@@ -58,12 +58,13 @@ scalar, whose later products trap as arrays do (a seed's partials, 0 and
 1, overflow no product).  So when no trap fires, no operation made a
 non-finite number: the only NaNs are those of cells that ``reject``,
 ``poison`` or a caller put there, and a NaN partial only ever sits beside
-a NaN value.  The caller's last check on the value (a factor's positivity
-test, ``evaluate``'s final poison) then fails the same cells as the
-per-operation checks would have, with the same bits.  When a trap fires,
-``on_cells`` evaluates again through ``checked_ops``: every operation
-scans its cells, with numpy's warnings off, as all code outside
-``on_cells`` runs.
+a NaN value.  The caller's last check on the value then fails the same
+cells as the per-operation checks would have, with the same bits: the
+package's one caller, ``families._checked`` (a factor's ``value`` and
+``jet`` on arrays), poisons every cell that is not positive.  When a
+trap fires, ``on_cells`` evaluates again through ``checked_ops``: every
+operation scans its cells, with numpy's warnings off, as all code
+outside ``on_cells`` runs.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ _TRAPPING = ContextVar("lorentz2d_trapping", default=False)
 
 
 def on_cells(fn, cells, *args):
-    """``fn(*args)`` on arrays of cells whose inputs are ``cells`` (floats,
-    arrays or jets), checked once (module docstring): under numpy's
+    """``fn(*args)`` on arrays of cells whose inputs are ``cells`` (floats
+    or arrays), checked once (module docstring): under numpy's
     floating-point traps with the array checks off, or through
     ``checked_ops`` when an input is not finite or a trap fires.  A failed
     cell's value comes back NaN, its partials maybe not: the caller
@@ -134,15 +135,14 @@ def checked_ops(fn, *args):
 
 
 def _all_finite(cells) -> bool:
-    """Whether every slot of ``cells`` (floats, arrays or jets) is finite:
-    traps see no inf that an input brings in (exp(inf) raises nothing)."""
+    """Whether every one of ``cells`` (floats or arrays) is finite: traps
+    see no inf that an input brings in (exp(inf) raises nothing)."""
     for c in cells:
-        for s in _slots(c) if isinstance(c, Jet2) else (c,):
-            if isinstance(s, np.ndarray):
-                if not np.isfinite(s).all():
-                    return False
-            elif not -1e400 < s < 1e400:
+        if isinstance(c, np.ndarray):
+            if not np.isfinite(c).all():
                 return False
+        elif not -1e400 < c < 1e400:
+            return False
     return True
 
 

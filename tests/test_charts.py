@@ -81,7 +81,6 @@ def test_full_plane_flags():
 
 def test_diamond_membership():
     d = Diamond()
-    assert d.half_width == math.pi
     assert d.contains(0.0, 0.0)
     assert d.contains(3.0, 0.1)
     assert not d.contains(1.6, 1.6)
@@ -97,7 +96,7 @@ def test_diamond_membership():
 def test_compactify_flat_factor_basics():
     c = compactify(flat_factor("1", "1"))
     assert c.chart == "compact"
-    assert c.domain == Diamond(math.pi)
+    assert c.domain == Diamond()
     assert c.target_curvature == 0.0
     assert c.provenance.family == "compactified"
     assert c.value(0.0, 0.0) == 0.25
@@ -208,7 +207,7 @@ def test_compactify_null_chart_factor_matches_its_standard_chart_twin():
         "exp(u+v) * (exp(u) - (1/4)*exp(v))^(-2)", 2.0))
     twin = compactify(factor_from_expression(
         "exp(2*x) * (exp(x+t) - (1/4)*exp(x-t))^(-2)", 2.0))
-    assert null.chart == "compact" and null.domain == Diamond(math.pi)
+    assert null.chart == "compact" and null.domain == Diamond()
     assert unparse(null.expression) == (
         "exp(tan((x + t)/2) + tan((x - t)/2))*(exp(tan((x + t)/2)) - "
         "1/4*exp(tan((x - t)/2)))^(-2)*(0.25*sec((x + t)/2)^2*sec((x - t)/2)^2)")
@@ -325,7 +324,7 @@ def _diamond_cells(n_t=157, n_x=161):
     ts = -math.pi + (np.arange(n_t) + 0.5) * (2.0 * math.pi / n_t)
     xs = -math.pi + (np.arange(n_x) + 0.5) * (2.0 * math.pi / n_x)
     t, x = np.meshgrid(ts, xs, indexing="ij")
-    inside = Diamond(math.pi).contains(t, x)
+    inside = Diamond().contains(t, x)
     return t[inside], x[inside]
 
 

@@ -62,6 +62,29 @@ def test_check_csv_export(tmp_path, capsys):
     assert out_file.read_text().startswith("t,x,omega,R,s2,valid")
 
 
+NULL_CHECK = ["check", "--omega", "2+u*v", "--target", "0", "--domain", "rect:0,1,-1,0",
+              "--grid", "8x8"]
+
+
+def test_check_labels_null_chart_points_u_v(capsys):
+    # R = -8/(2 + uv)^3 is largest at (u, v) = (0.9375, -0.9375)
+    rc = main(NULL_CHECK)
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "at (u, v) = (0.9375, -0.9375)" in out
+    assert "(t, x)" not in out
+
+
+def test_null_chart_csv_columns_are_u_v(tmp_path, capsys):
+    out_file = tmp_path / "grid.csv"
+    rc = main([*NULL_CHECK, "--format", "csv", "--out", str(out_file)])
+    capsys.readouterr()
+    assert rc == 1
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == "u,v,omega,R,s2,valid"
+    assert lines[1].startswith("0.0625,-0.9375,")
+
+
 # ---------------------------------------------------------------------------
 # family
 

@@ -1,6 +1,7 @@
 """Scalar curvature formulas in either chart, Einstein check, and the FD oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,28 +22,36 @@ from lorentz2d.families import factor_from_expression
 from lorentz2d.jets import apply_elementary, mul, seed
 
 
+def _unchecked(source):
+    """The formula ``source`` as a field read through its factor's unchecked
+    ``jet_fn`` and ``value_fn``: a log field may be <= 0, and a
+    non-positive factor reaches the curvature functions' own checks."""
+    factor = factor_from_expression(source)
+    return SimpleNamespace(jet=factor.jet_fn, value=factor.value_fn, chart=factor.chart)
+
+
 # ---------------------------------------------------------------------------
 # Scalar curvature from the factor (standard chart)
 
 def test_unit_factor_is_flat_exactly():
-    assert ricci_from_omega(parse("1"), (0.3, -1.2)) == 0.0
+    assert ricci_from_omega(factor_from_expression("1"), (0.3, -1.2)) == 0.0
 
 
 def test_positive_constant_curvature_factor():
-    assert math.isclose(ricci_from_omega(parse("sec(t)^2"), (0.3, 1.0)),
+    assert math.isclose(ricci_from_omega(factor_from_expression("sec(t)^2"), (0.3, 1.0)),
                         2.0, rel_tol=1e-12)
 
 
 def test_negative_constant_curvature_factor():
-    assert math.isclose(ricci_from_omega(parse("sech(t)^2"), (0.5, 0.0)),
+    assert math.isclose(ricci_from_omega(factor_from_expression("sech(t)^2"), (0.5, 0.0)),
                         -2.0, rel_tol=1e-12)
 
 
 def test_nonpositive_factor_rejected():
     with pytest.raises(NonPositiveFactor):
-        ricci_from_omega(parse("x - 10"), (0.0, 0.0))
+        ricci_from_omega(_unchecked("x - 10"), (0.0, 0.0))
     with pytest.raises(NonPositiveFactor):
-        ricci_from_omega(parse("u - 10"), (0.0, 0.0))
+        ricci_from_omega(_unchecked("u - 10"), (0.0, 0.0))
 
 
 @pytest.mark.parametrize("source, point", [("exp(700*x)", (0.0, 0.9)),
@@ -50,10 +59,10 @@ def test_nonpositive_factor_rejected():
 def test_curvature_that_overflows_is_a_domain_error(source, point):
     # Omega^3, or a product of slots, overflows: a float call used to
     # return R = NaN
-    with pytest.raises(DomainError):
-        ricci_from_omega(parse(source), point)
-    # and on arrays that cell alone becomes NaN
     factor = factor_from_expression(source)
+    with pytest.raises(DomainError):
+        ricci_from_omega(factor, point)
+    # and on arrays that cell alone becomes NaN
     w = factor.jet(np.array([0.0, point[0]]), np.array([0.0, point[1]]))
     # with no warning: the array overflow is that cell's NaN
     r = scalar_from_factor_jet(w, factor.chart)
@@ -66,26 +75,28 @@ def test_scalar_from_factor_jet_compact_alias():
 
 
 def test_field_type_rejected():
-    with pytest.raises(TypeError):
-        ricci_from_omega(42, (0.0, 0.0))
+    # a formula is read through a factor, never as a bare expression tree
+    for field in (42, parse("1")):
+        with pytest.raises(TypeError):
+            ricci_from_omega(field, (0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # Scalar curvature from the log of the factor
 
 def test_log_form_flat_zero():
-    assert ricci_from_log(parse("0"), (0.7, 0.2)) == 0.0
+    assert ricci_from_log(_unchecked("0"), (0.7, 0.2)) == 0.0
 
 
 @pytest.mark.parametrize("source", ["exp(x + t)", "exp(x - t)", "sin(x + t)"])
 def test_log_form_single_null_variable_is_flat_exactly(source):
     # omega depending on x+t (or x-t) alone has omega_tt == omega_xx
     # as identical floats, so the curvature is exactly zero.
-    assert ricci_from_log(parse(source), (0.3, 0.7)) == 0.0
+    assert ricci_from_log(_unchecked(source), (0.3, 0.7)) == 0.0
 
 
 def test_log_form_constant_positive_curvature():
-    assert math.isclose(ricci_from_log(parse("-2*log(cos(t))"), (0.3, 5.0)),
+    assert math.isclose(ricci_from_log(_unchecked("-2*log(cos(t))"), (0.3, 5.0)),
                         2.0, rel_tol=1e-12)
 
 
@@ -94,25 +105,25 @@ def test_log_form_constant_positive_curvature():
 
 def test_null_log_form_constant_curvature():
     assert math.isclose(
-        ricci_from_log(parse("-2*log(u - 0.25*v + 1)"), (0.2, 0.1)),
+        ricci_from_log(_unchecked("-2*log(u - 0.25*v + 1)"), (0.2, 0.1)),
         2.0, rel_tol=1e-12)
 
 
 def test_null_log_form_single_variable_flat():
-    assert ricci_from_log(parse("exp(u)"), (0.4, -0.2)) == 0.0
-    assert ricci_from_log(parse("exp(v)"), (0.4, -0.2)) == 0.0
+    assert ricci_from_log(_unchecked("exp(u)"), (0.4, -0.2)) == 0.0
+    assert ricci_from_log(_unchecked("exp(v)"), (0.4, -0.2)) == 0.0
 
 
 def test_null_factor_form_constant_curvature():
     assert math.isclose(
-        ricci_from_omega(parse("(u - 0.25*v + 1)^(-2)"), (0.2, 0.1)),
+        ricci_from_omega(factor_from_expression("(u - 0.25*v + 1)^(-2)"), (0.2, 0.1)),
         2.0, rel_tol=1e-12)
 
 
 README_NULL_FACTOR = "exp(u+v) * (exp(u) - (1/4)*exp(v))^(-2)"
 
 
-@pytest.mark.parametrize("field", [parse(README_NULL_FACTOR),
+@pytest.mark.parametrize("field", [_unchecked(README_NULL_FACTOR),
                                    factor_from_expression(README_NULL_FACTOR)],
                          ids=["expression", "factor"])
 def test_null_chart_factor_gets_its_own_curvature(field):
@@ -123,7 +134,7 @@ def test_null_chart_factor_gets_its_own_curvature(field):
 
 def test_einstein_residual_refuses_a_null_chart_field():
     with pytest.raises(ValueError):
-        einstein_residual(parse("-2*log(u - 0.25*v + 1)"), (0.2, 0.1))
+        einstein_residual(_unchecked("-2*log(u - 0.25*v + 1)"), (0.2, 0.1))
 
 
 def test_null_chart_agrees_with_standard_chart():
@@ -132,8 +143,8 @@ def test_null_chart_agrees_with_standard_chart():
                                        "x": parse("(u + v)/2")})
     t0, x0 = 0.4, -0.3
     u0, v0 = x0 + t0, x0 - t0
-    r_std = ricci_from_log(omega_tx, (t0, x0))
-    r_null = ricci_from_log(omega_null, (u0, v0))
+    r_std = ricci_from_log(_unchecked(omega_tx), (t0, x0))
+    r_null = ricci_from_log(_unchecked(omega_null), (u0, v0))
     assert abs(r_null - r_std) <= 1e-10 * max(1.0, abs(r_std))
 
 
@@ -152,14 +163,14 @@ def test_curvature_does_not_depend_on_the_chart(a, b, c, t, x):
     factor_tx = parse(f"exp({a!r}*t^2 + {b!r}*x^2 + {c!r}*t*x)")
     point, twin_point = (t, x), (x + t, x - t)
 
-    r_tx = ricci_from_omega(factor_tx, point)
-    r_twin = ricci_from_omega(_null_twin(factor_tx), twin_point)
+    twin = factor_from_expression(_null_twin(factor_tx))
+    r_tx = ricci_from_omega(factor_from_expression(factor_tx), point)
+    r_twin = ricci_from_omega(twin, twin_point)
     assert abs(r_twin - r_tx) <= 1e-10 * max(1.0, abs(r_tx))
-    assert abs(fd_ricci_oracle(_null_twin(factor_tx), twin_point, h=1e-3)
-               - r_tx) <= 1e-5
+    assert abs(fd_ricci_oracle(twin, twin_point, h=1e-3) - r_tx) <= 1e-5
 
-    r_log = ricci_from_log(log_tx, point)
-    r_log_twin = ricci_from_log(_null_twin(log_tx), twin_point)
+    r_log = ricci_from_log(_unchecked(log_tx), point)
+    r_log_twin = ricci_from_log(_unchecked(_null_twin(log_tx)), twin_point)
     assert abs(r_log_twin - r_log) <= 1e-10 * max(1.0, abs(r_log))
 
 
@@ -201,18 +212,18 @@ def test_einstein_residual_is_bitwise_the_tensor_built_formula(a, b, c, t, x):
 
 
 def test_einstein_flat_exact():
-    check = einstein_residual(parse("0"), (0.2, 0.4))
+    check = einstein_residual(_unchecked("0"), (0.2, 0.4))
     assert check == EinsteinCheck(kappa=0.0, residual=0.0)
 
 
 def test_einstein_constant_curvature():
-    check = einstein_residual(parse("-2*log(cos(t))"), (0.3, 2.0))
+    check = einstein_residual(_unchecked("-2*log(cos(t))"), (0.3, 2.0))
     assert math.isclose(check.kappa, 1.0, rel_tol=1e-12)
     assert check.residual <= 1e-10
 
 
 def test_einstein_kappa_is_half_the_log_form_scalar():
-    field = parse("0.4*sin(t)*cos(x)")
+    field = _unchecked("0.4*sin(t)*cos(x)")
     point = (0.6, -0.2)
     check = einstein_residual(field, point)
     assert check.kappa == 0.5 * ricci_from_log(field, point)
@@ -262,22 +273,22 @@ def test_factor_and_log_routes_agree(a, b, t, x):
 # Finite-difference oracle
 
 def test_fd_oracle_flat_exact():
-    assert fd_ricci_oracle(parse("1"), (0.3, 0.5)) == 0.0
+    assert fd_ricci_oracle(factor_from_expression("1"), (0.3, 0.5)) == 0.0
 
 
 def test_fd_oracle_constant_positive_curvature():
-    r = fd_ricci_oracle(parse("sec(t)^2"), (0.3, 1.0), h=1e-3)
+    r = fd_ricci_oracle(factor_from_expression("sec(t)^2"), (0.3, 1.0), h=1e-3)
     assert abs(r - 2.0) < 1e-6
 
 
 def test_fd_oracle_null_family_factor():
-    omega1 = parse("exp(2*x) * (exp(x+t) - (1/4)*exp(x-t))^(-2)")
+    omega1 = factor_from_expression("exp(2*x) * (exp(x+t) - (1/4)*exp(x-t))^(-2)")
     r = fd_ricci_oracle(omega1, (0.1, -0.2), h=1e-3)
     assert abs(r - 2.0) < 1e-6
 
 
 def test_fd_oracle_matches_jet_route():
-    field = parse("exp(0.3*t^2 - 0.2*x^2)")
+    field = factor_from_expression("exp(0.3*t^2 - 0.2*x^2)")
     point = (0.4, 0.1)
     assert abs(fd_ricci_oracle(field, point, h=1e-3)
                - ricci_from_omega(field, point)) < 1e-5
@@ -285,9 +296,9 @@ def test_fd_oracle_matches_jet_route():
 
 def test_fd_oracle_stencil_outside_domain():
     with pytest.raises(StencilOutsideDomain):
-        fd_ricci_oracle(parse("sqrt(x)"), (0.0, 5e-4), h=1e-3)
+        fd_ricci_oracle(factor_from_expression("sqrt(x)"), (0.0, 5e-4), h=1e-3)
 
 
 def test_fd_oracle_nonpositive_centre():
     with pytest.raises(NonPositiveFactor):
-        fd_ricci_oracle(parse("x - 10"), (0.0, 0.0))
+        fd_ricci_oracle(_unchecked("x - 10"), (0.0, 0.0))

@@ -140,7 +140,7 @@ def test_diagram_exports_match_reference(name, side, with_ricci):
     sets = extract_level_sets(grid, levels)
     assert sum(len(ls.polylines) for ls in sets) > 0
     assert_level_set_exports_match(sets)
-    assert_level_set_exports_match(sets, bounds=grid.domain.bbox())
+    assert_level_set_exports_match(sets, bounds=domain.bbox())
     assert_level_set_exports_match(sets, bounds=(-0.5, 2.0, -3.0, 0.25))
 
 

@@ -223,7 +223,7 @@ def test_null_chart_factor_matches_reference(with_ricci):
     factor = factor_from_expression("exp(u+v) * (exp(u) - (1/4)*exp(v))^(-2)", 2.0)
     grid = sample_grid(factor, Rectangle(-1.0, 1.0, -1.0, 1.0), (45, 41),
                        with_ricci=with_ricci)
-    assert grid.chart == "uv"
+    assert grid.factor.chart == "uv"
     assert_matches_reference(grid, (-1.0, -0.25, 0.0, 0.25, 1.0))
 
 
@@ -338,8 +338,7 @@ def _square_grid(corners, factor=None):
     c0, c1, c2, c3 = corners
     s2 = np.array([[c0, c1], [c3, c2]])
     return SampleGrid(factor=factor or flat_factor("1", "1"),
-                      domain=Rectangle(-0.5, 1.5, -0.5, 1.5),
-                      chart="tx", ts=np.array([0.0, 1.0]), xs=np.array([0.0, 1.0]),
+                      ts=np.array([0.0, 1.0]), xs=np.array([0.0, 1.0]),
                       omega=np.ones((2, 2)), ricci=np.full((2, 2), np.nan), s2=s2,
                       status=np.full((2, 2), VALID, dtype=np.int8), with_ricci=False)
 

@@ -1,6 +1,8 @@
-"""The package's public names."""
+"""The package's public names and its internal imports."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import lorentz2d
 
@@ -28,7 +30,7 @@ PARAMETERS = {
     "CurvatureReport": ("target_R", "tolerance", "passed", "n_valid", "n_singular",
                         "n_domain_error", "max_abs_deviation", "mean_deviation",
                         "worst_point"),
-    "Diamond": ("half_width",),
+    "Diamond": (),
     "DomainError": ("message", "node", "point"),
     "EinsteinCheck": ("kappa", "residual"),
     "EmptyDomain": None,
@@ -44,8 +46,8 @@ PARAMETERS = {
     "Provenance": ("family", "parameters"),
     "QuadratureNonConvergence": ("message", "achieved_error"),
     "Rectangle": ("t_min", "t_max", "x_min", "x_max"),
-    "SampleGrid": ("factor", "domain", "chart", "ts", "xs", "omega", "ricci", "s2",
-                   "status", "with_ricci"),
+    "SampleGrid": ("factor", "ts", "xs", "omega", "ricci", "s2", "status",
+                   "with_ricci"),
     "SingularDenominator": None,
     "StencilOutsideDomain": None,
     "Unary": ("op", "child"),
@@ -94,3 +96,40 @@ def test_every_public_parameter_is_in_the_table():
     found = {name: _parameters(obj) for name, obj in public.items()
              if inspect.isclass(obj) or inspect.isfunction(obj)}
     assert found == PARAMETERS
+
+
+# The modules each module of the package imports, function-level imports
+# included.  ``curvature`` reads fields through their ``jet``, ``value`` and
+# ``chart`` alone, so it needs neither the formula language nor the
+# families; ``charts.compactify`` imports ``families`` inside the function,
+# since ``families`` imports ``charts``.
+IMPORTS = {
+    "__init__": ("analysis", "charts", "curvature", "errors", "expressions", "families",
+                 "jets"),
+    "__main__": ("cli",),
+    "analysis": ("charts", "curvature", "errors"),
+    "charts": ("errors", "expressions", "families", "jets"),
+    "cli": ("analysis", "charts", "errors", "expressions", "families"),
+    "curvature": ("errors", "jets"),
+    "errors": (),
+    "expressions": ("errors", "jets"),
+    "families": ("charts", "errors", "expressions", "jets"),
+    "jets": ("errors",),
+}
+
+
+def _relative_imports(path: Path) -> tuple:
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:   # from .module import name
+                found.add(node.module.split(".")[0])
+            else:             # from . import module
+                found.update(alias.name for alias in node.names)
+    return tuple(sorted(found))
+
+
+def test_internal_imports_are_in_the_table():
+    package = Path(lorentz2d.__file__).parent
+    found = {path.stem: _relative_imports(path) for path in package.glob("*.py")}
+    assert found == IMPORTS

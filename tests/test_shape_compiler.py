@@ -28,7 +28,6 @@ from lorentz2d.expressions import (
     Variable,
     _point_of,
     compile_expression,
-    evaluate,
     parse,
 )
 from lorentz2d.jets import Jet2, seed
@@ -249,17 +248,19 @@ def test_a_different_shape_or_algebra_never_shares():
 
 def test_shape_table_stays_at_its_bound():
     limit = expressions._SHAPE_LIMIT
+    cache_info = expressions._generate.cache_info
     evicted = parse("x^0.015625 + t")
     first = compile_expression(evicted)
     for j in range(limit + 8):   # each exponent is a new shape
         compile_expression(parse(f"x^{1.0 + (j + 1) / 64} + t"))
-        assert len(expressions._SHAPES) <= limit
-    assert len(expressions._SHAPES) == limit
-    assert (("add", ("pow", 0.015625, "x"), "t"), jets.VALUES) not in expressions._SHAPES
+        assert cache_info().currsize <= limit
+    assert cache_info().currsize == limit
     bindings = {"x": 16.0, "t": 1.0}
     value = first(bindings)
     assert math.isclose(value, 16.0 ** 0.015625 + 1.0, rel_tol=1e-15)
+    misses = cache_info().misses
     assert compile_expression(evicted)(bindings) == value
+    assert cache_info().misses == misses + 1   # its shape was dropped
 
 
 def test_threads_compiling_new_shapes_keep_the_table_bounded():
@@ -279,7 +280,7 @@ def test_threads_compiling_new_shapes_keep_the_table_bounded():
     finally:
         sys.setswitchinterval(interval)
     assert all(got == want for got, want in results)
-    assert len(expressions._SHAPES) <= limit
+    assert expressions._generate.cache_info().currsize <= limit
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +292,23 @@ def _cells(out, shape) -> tuple:
     return tuple(np.broadcast_to(np.asarray(s, dtype=float), shape).tobytes() for s in slots)
 
 
-def _evaluated(tree, bindings, shape):
+def _on_cells(tree, algebra, cells, bindings):
+    """``tree`` compiled for ``algebra`` and evaluated on the cells whose
+    coordinates are ``cells`` through ``jets.on_cells``, every slot of a
+    cell whose value is NaN then poisoned, as a factor's ``value`` and
+    ``jet`` poison their non-positive cells."""
+    out = jets.on_cells(compile_expression(tree, algebra), cells, bindings)
+    value = out.value if isinstance(out, Jet2) else out
+    if isinstance(value, np.ndarray):
+        failed = np.isnan(value)
+        if failed.any():
+            return jets.poison(out, failed)
+    return out
+
+
+def _evaluated(tree, algebra, cells, bindings, shape):
     try:
-        out = evaluate(tree, bindings)
+        out = _on_cells(tree, algebra, cells, bindings)
     except (DomainError, ValueError) as err:
         return ("raised", type(err), str(err))
     return ("value", _cells(out, shape))
@@ -323,10 +338,11 @@ def test_trapped_evaluation_is_bitwise_the_checked_one(tree, cells, algebra, bin
     flat = np.array(cells[:3]), np.array(cells[3:])
     for (tt, xx), shape in (((column, row), (2, 3)), (flat, (3,)), ((flat[0], 0.5), (3,))):
         bindings = _bindings(algebra, tt, xx, bind_x)
-        trapped = _evaluated(tree, bindings, shape)
+        cells = (tt, xx) if bind_x else (tt,)
+        trapped = _evaluated(tree, algebra, cells, bindings, shape)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(jets, "on_cells", lambda fn, cells, *args: jets.checked_ops(fn, *args))
-            checked = _evaluated(tree, bindings, shape)
+            checked = _evaluated(tree, algebra, cells, bindings, shape)
         assert trapped == checked
         assert trapped == _reference(tree, algebra, bindings, shape)
 
@@ -337,7 +353,7 @@ def test_failed_cells_are_nan_in_every_slot():
     bindings = {"t": seed("t", (t, x)), "x": seed("x", (t, x))}
     # a root negation and a root x^0 left -NaN and zero partials
     for source in ("-log(t)", "log(t)^0", "-(1/exp(1000*t))"):
-        w = evaluate(parse(source), bindings)
+        w = _on_cells(parse(source), jets.JET2, (t, x), bindings)
         failed = np.isnan(w.value)
         assert failed.any() and not failed.all()
         for slot in (w.value, w.dt, w.dx, w.dtt, w.dtx, w.dxx):
@@ -367,6 +383,6 @@ def test_non_finite_inputs_take_the_checked_path():
     # an infinite coordinate would otherwise pass traps unseen: exp(inf) and
     # 1/inf raise nothing, and the per-operation checks poison exp(inf)
     t = np.array([math.inf, 1.0, -math.inf])
-    w = evaluate(parse("1/exp(t) + 1"), {"t": t})
+    w = _on_cells(parse("1/exp(t) + 1"), jets.VALUES, (t,), {"t": t})
     np.testing.assert_array_equal(np.isnan(w), [True, False, True])
     assert w[1] == 1.0 / math.exp(1.0) + 1.0
