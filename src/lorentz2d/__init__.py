@@ -85,7 +85,6 @@ from .expressions import (
 from .families import (
     Antiderivative,
     ConformalFactor,
-    Provenance,
     factor_from_expression,
     flat_factor,
     liouville_factor,
@@ -118,7 +117,6 @@ __all__ = [
     "NonConstantExponent",
     "NonPositiveFactor",
     "ParseError",
-    "Provenance",
     "QuadratureNonConvergence",
     "Rectangle",
     "SampleGrid",

@@ -598,17 +598,9 @@ def grid_to_csv(grid: SampleGrid) -> str:
 
 
 def report_to_json(report: CurvatureReport) -> str:
-    payload = {
-        "target_R": report.target_R,
-        "tolerance": report.tolerance,
-        "pass": report.passed,
-        "n_valid": report.n_valid,
-        "n_singular": report.n_singular,
-        "n_domain_error": report.n_domain_error,
-        "max_abs_deviation": report.max_abs_deviation,
-        "mean_deviation": report.mean_deviation,
-        "worst_point": [report.worst_point[0], report.worst_point[1]],
-    }
+    """The report's fields in order, ``passed`` written as "pass"."""
+    payload = {"pass" if name == "passed" else name: value
+               for name, value in vars(report).items()}
     return json.dumps(payload, indent=2) + "\n"
 
 

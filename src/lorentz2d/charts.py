@@ -29,14 +29,13 @@ two methods samples as a domain (a smaller diamond, a disc).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, replace
 
 from . import jets
 from .errors import DomainError
 from .expressions import Binary, Constant, parse, substitute
 
-_TAN = jets.VALUE_FUNCTIONS["tan"]
+_TAN = jets.ELEMENTARY["tan"][0]
 
 # the null coordinates as formulas in (t, x)
 NULL_COORDINATES = {"u": parse("x + t"), "v": parse("x - t")}
@@ -83,9 +82,6 @@ class Diamond:
         return (-math.pi, math.pi, -math.pi, math.pi)
 
 
-Domain = Union[Rectangle, Diamond]
-
-
 def full_plane() -> Rectangle:
     return Rectangle(-math.inf, math.inf, -math.inf, math.inf)
 
@@ -112,10 +108,11 @@ def compactify(factor) -> "ConformalFactor":
     The factor may be in the standard chart or the null chart; a null-chart
     factor is evaluated at (U, V) directly.  Requires ``factor.domain`` to
     be the full plane; factors on a strip (e.g. a sec^2 branch) have no
-    single-patch compactification here and raise ``DomainError``.
+    single-patch compactification here and raise ``DomainError``.  The
+    result is a copy of ``factor`` in the "compact" chart on ``Diamond()``,
+    with the same ``target_curvature`` and the provenance
+    ``{"family": "compactified", "inner": factor.provenance}``.
     """
-    from .families import ConformalFactor, Provenance
-
     if factor.chart not in ("tx", "uv"):
         raise ValueError(
             f"compactify expects a standard- or null-chart factor, got chart {factor.chart!r}")
@@ -156,15 +153,9 @@ def compactify(factor) -> "ConformalFactor":
         inner = substitute(factor.expression, _NULL_FROM_DIAMOND if null else _FROM_DIAMOND)
         expr = _JACOBIAN if inner == Constant(1.0) else Binary("mul", inner, _JACOBIAN)
 
-    return ConformalFactor(
-        chart="compact",
-        domain=Diamond(),
-        provenance=Provenance("compactified", {"inner": factor.provenance}),
-        target_curvature=factor.target_curvature,
-        expression=expr,
-        value_fn=value_fn,
-        jet_fn=jet_fn,
-    )
+    return replace(factor, chart="compact", domain=Diamond(),
+                   provenance={"family": "compactified", "inner": factor.provenance},
+                   expression=expr, value_fn=value_fn, jet_fn=jet_fn)
 
 
 def interval_from_omega(omega, a, b, chart: str):

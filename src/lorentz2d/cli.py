@@ -106,29 +106,15 @@ _OPTIONS = {
 }
 _PARAMETERS = ("--phi", "--psi", "--c1", "--c2", "--d1", "--d2", "--k", "--C", "--R",
                "--raw-antiderivative")
-# Each subcommand registers only the options its handler reads, so any
-# other is refused with exit 2: (name, help, formats it writes, options).
-_SUBCOMMANDS = (
-    ("check", "compare sampled curvature to a target", ("json", "csv"),
-     ("--family", "--omega", *_PARAMETERS, "--target", "--domain", "--grid", "--tol")),
-    ("family", "print a family factor descriptor", ("csv",),
-     ("family", *_PARAMETERS, "--domain", "--grid")),
-    # compactify always samples the whole diamond
-    ("compactify", "check a factor pulled back to the diamond", ("json", "csv", "svg"),
-     ("--family", "--omega", *_PARAMETERS, "--target", "--grid", "--tol", "--levels")),
-    ("contour", "constant-interval level sets of a factor", ("svg", "csv"),
-     ("--family", "--omega", *_PARAMETERS, "--domain", "--grid", "--levels")),
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lorentz2d", allow_abbrev=False,
         description="Constant-curvature conformal factors on 2D Minkowski "
                     "space: curvature checks and diagram data.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, summary, formats, options in _SUBCOMMANDS:
+    for name, summary, formats, options, handler in _SUBCOMMANDS:
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(handler=handler)
         for option in options:
             p.add_argument(option, **_OPTIONS[option.lstrip("-")])
         p.add_argument("--out", help="output file path")
@@ -198,11 +184,11 @@ def _resolve_domain(args: argparse.Namespace, factor):
 
 
 def _describe(factor) -> str:
+    """The factor's closed form, or else its provenance dict as JSON (a
+    compactified factor's nests its inner factor's under "inner")."""
     if factor.expression is not None:
         return unparse(factor.expression)
-    # a compactified factor's parameters hold its inner factor's provenance
-    return json.dumps(factor.provenance,
-                      default=lambda prov: {"family": prov.family, **prov.parameters})
+    return json.dumps(factor.provenance)
 
 
 def _verify(args: argparse.Namespace, factor, domain):
@@ -214,12 +200,18 @@ def _verify(args: argparse.Namespace, factor, domain):
     grid = analysis.sample_grid(factor, domain, args.grid)
     report = analysis.constancy_report(grid, target, args.tol)
     n_t, n_x = args.grid
+    names = charts.coordinate_names(factor.chart)
+    where = repr(domain)
+    if factor.chart == "uv" and isinstance(domain, charts.Rectangle):
+        # a Rectangle names its bounds after t and x; these are u and v
+        t0, t1, x0, x1 = domain.bbox()
+        where = f"{names[0]} in ({t0!r}, {t1!r}), {names[1]} in ({x0!r}, {x1!r})"
     print(f"factor: {_describe(factor)}")
-    print(f"grid: {n_t}x{n_x} on {domain!r}")
+    print(f"grid: {n_t}x{n_x} on {where}")
     print(f"cells: valid={report.n_valid} singular={report.n_singular} "
           f"domain_error={report.n_domain_error}")
     print(f"max |R - ({report.target_R:g})| = {report.max_abs_deviation:.6e} "
-          f"at ({', '.join(charts.coordinate_names(factor.chart))}) = "
+          f"at ({', '.join(names)}) = "
           f"({report.worst_point[0]:.6g}, {report.worst_point[1]:.6g})")
     print(f"mean deviation = {report.mean_deviation:.6e}")
     print(f"{'PASS' if report.passed else 'FAIL'} (tolerance {report.tolerance:g})")
@@ -280,12 +272,23 @@ def _cmd_contour(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "family": _cmd_family,
-    "compactify": _cmd_compactify,
-    "contour": _cmd_contour,
-}
+# Each subcommand registers only the options its handler reads, so any
+# other is refused with exit 2: (name, help, formats it writes, options,
+# handler).
+_SUBCOMMANDS = (
+    ("check", "compare sampled curvature to a target", ("json", "csv"),
+     ("--family", "--omega", *_PARAMETERS, "--target", "--domain", "--grid", "--tol"),
+     _cmd_check),
+    ("family", "print a family factor descriptor", ("csv",),
+     ("family", *_PARAMETERS, "--domain", "--grid"), _cmd_family),
+    # compactify always samples the whole diamond
+    ("compactify", "check a factor pulled back to the diamond", ("json", "csv", "svg"),
+     ("--family", "--omega", *_PARAMETERS, "--target", "--grid", "--tol", "--levels"),
+     _cmd_compactify),
+    ("contour", "constant-interval level sets of a factor", ("svg", "csv"),
+     ("--family", "--omega", *_PARAMETERS, "--domain", "--grid", "--levels"),
+     _cmd_contour),
+)
 
 
 def main(argv=None) -> int:
@@ -301,7 +304,7 @@ def main(argv=None) -> int:
                     [*argv[:at], *_config_flags(args.config), *argv[at:]])
         except SystemExit as exc:
             return int(exc.code or 0)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (EmptyDomain, NoValidSamples, EvaluationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -16,8 +16,8 @@ literal beyond the double range (``1e999``) is a ``ParseError``.
 
 Variables are ``t``, ``x`` (standard chart), ``u``, ``v`` (null chart)
 and ``l`` (integration variable).  ``pi`` and ``e`` are keywords for the
-usual constants.  Functions: exp log sin cos tan sec sinh cosh tanh sech
-sqrt atan abs.
+usual constants.  Functions, the names of ``jets.ELEMENTARY``: exp log sin
+cos tan sec sinh cosh tanh sech sqrt atan abs.
 
 One compiler turns a formula into a straight-line Python function over
 one of the three algebras of ``jets``: values, univariate Taylor jets (f,
@@ -51,8 +51,7 @@ from . import jets
 from .errors import DomainError, NonConstantExponent, ParseError
 from .jets import Jet2
 
-FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "sec", "sinh", "cosh",
-             "tanh", "sech", "sqrt", "atan", "abs")
+FUNCTIONS = tuple(jets.ELEMENTARY)
 VARIABLES = ("t", "x", "u", "v", "l")
 CONSTANT_KEYWORDS = {"pi": math.pi, "e": math.e}
 
@@ -299,7 +298,7 @@ def _fmt_number(value: float) -> str:
 
 
 def _render(expression: Expression, slot: int, negative_guard: bool = False) -> str:
-    text = _unparse(expression)
+    text = unparse(expression)
     if _level(expression) < slot:
         return f"({text})"
     if negative_guard and text.startswith("-"):
@@ -307,7 +306,8 @@ def _render(expression: Expression, slot: int, negative_guard: bool = False) -> 
     return text
 
 
-def _unparse(expression: Expression) -> str:
+def unparse(expression: Expression) -> str:
+    """Render a tree as source text; parse(unparse(e)) == e."""
     match expression:
         case Constant(value):
             return _fmt_number(value)
@@ -330,13 +330,8 @@ def _unparse(expression: Expression) -> str:
         case Binary("pow", left, right):
             return f"{_render(left, _NEG)}^{_render(right, _POW, True)}"
         case Call(fn, arg):
-            return f"{fn}({_unparse(arg)})"
+            return f"{fn}({unparse(arg)})"
     raise TypeError(f"not an expression node: {expression!r}")
-
-
-def unparse(expression: Expression) -> str:
-    """Render a tree as source text; parse(unparse(e)) == e."""
-    return _unparse(expression)
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +383,13 @@ def _point_of(bindings) -> dict | None:
     return point
 
 
-def constant_value(expression: Expression) -> float:
-    """Value of a variable-free expression."""
-    if free_variables(expression):
-        raise ValueError("expression is not constant")
-    return compile_expression(expression)({})
-
-
 def _exponent_value(node: Expression) -> float:
+    """Value of a variable-free exponent."""
     if isinstance(node, Constant):
         return node.value
-    return constant_value(node)
+    if free_variables(node):
+        raise ValueError("expression is not constant")
+    return compile_expression(node)({})
 
 
 def _shape(expression: Expression, constants: list, nodes: list):

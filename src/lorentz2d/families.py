@@ -106,14 +106,6 @@ DEFAULT_QUADRATURE_TOL = 1e-10
 MAX_DEPTH = 40          # halvings of one quadrature panel before it fails
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """How a factor was built: family name plus the defining parameters."""
-
-    family: str
-    parameters: dict
-
-
 @dataclass
 class ConformalFactor:
     """A positive conformal factor g = Omega * eta on some chart.
@@ -123,7 +115,11 @@ class ConformalFactor:
     like "tx" for curvature purposes).  ``expression`` is a printable
     closed form when one exists, else None.  ``target_curvature`` is the
     constant R the factor is supposed to realize (None for ad-hoc
-    expressions with no claim attached).
+    expressions with no claim attached).  ``provenance`` says how the
+    factor was built, as the plain dict ``{"family": name, **parameters}``
+    (a compactified factor's holds its inner factor's under "inner");
+    ``domain`` is any object with ``contains`` and ``bbox`` (see
+    ``charts``).
 
     ``value_fn``, ``jet_fn``, ``value`` and ``jet`` take (a, b,
     status=None) and follow the module rules for floats and arrays.
@@ -137,8 +133,8 @@ class ConformalFactor:
     """
 
     chart: str
-    domain: charts.Domain
-    provenance: Provenance
+    domain: object
+    provenance: dict
     target_curvature: float | None
     expression: Expression | None
     value_fn: Callable[..., float]
@@ -246,7 +242,7 @@ def _expression_factor(expr: Expression, chart: str, domain, provenance,
                        target: float | None, jet_fn=None) -> ConformalFactor:
     """A factor whose values come from ``expr``; so does its jet, unless
     the family passes a ``jet_fn`` of its own."""
-    first, second = ("u", "v") if chart == "uv" else ("t", "x")
+    first, second = charts.coordinate_names(chart)
     values = compile_expression(expr)
 
     def value_fn(a, b, status=None):
@@ -281,7 +277,7 @@ def flat_factor(phi, psi) -> ConformalFactor:
     left = substitute(phi, {phi_var: u_expr}) if phi_var else phi
     right = substitute(psi, {psi_var: v_expr}) if psi_var else psi
     expr = _mul(left, right)
-    provenance = Provenance("flat", {"phi": unparse(phi), "psi": unparse(psi)})
+    provenance = {"family": "flat", "phi": unparse(phi), "psi": unparse(psi)}
     phi_jet, psi_jet = _taylor(phi, phi_var), _taylor(psi, psi_var)
 
     def jet_fn(t, x, status=None):
@@ -334,8 +330,8 @@ def _one_variable_factor(sep: float, shift: float, target: float,
         def jet_fn(t, x, status=None):
             f0, f1, f2 = taylor(x)
             return Jet2(f0, 0.0, f1, 0.0, 0.0, f2)
-    return _expression_factor(expr, "tx", domain,
-                              Provenance(family, params), target, jet_fn)
+    return _expression_factor(expr, "tx", domain, {"family": family, **params},
+                              target, jet_fn)
 
 
 def timelike_factor(c1: float, c2: float, target: float) -> ConformalFactor:
@@ -721,11 +717,10 @@ def liouville_factor(phi, psi, k: float, C: float, target: float,
         top = jets.null_product((a0, a1, a2), (b0, b1, b2))
         return jets.from_null(jets.div(top, jets.mul(d, d)))
 
-    provenance = Provenance("liouville", {
-        "phi": unparse(phi), "psi": unparse(psi), "k": k, "C": C, "R": target,
-        "antiderivative": "raw" if raw_antiderivative else "shifted",
-        "reference": None if raw_antiderivative else 0.0,
-    })
+    provenance = {"family": "liouville", "phi": unparse(phi), "psi": unparse(psi),
+                  "k": k, "C": C, "R": target,
+                  "antiderivative": "raw" if raw_antiderivative else "shifted",
+                  "reference": None if raw_antiderivative else 0.0}
     return ConformalFactor(chart="tx", domain=charts.full_plane(),
                            provenance=provenance, target_curvature=target,
                            expression=expr, value_fn=value_fn, jet_fn=jet_fn)
@@ -752,7 +747,7 @@ def factor_from_expression(source, claimed_curvature: float | None = None) -> Co
         raise MixedChartVariables(
             f"expression mixes standard and null chart variables: {sorted(names)}")
     chart = "uv" if null else "tx"
-    provenance = Provenance("expression", {"source": unparse(expr),
-                                           "claimed_R": claimed_curvature})
+    provenance = {"family": "expression", "source": unparse(expr),
+                  "claimed_R": claimed_curvature}
     return _expression_factor(expr, chart, charts.full_plane(), provenance,
                               claimed_curvature)

@@ -20,10 +20,11 @@ another (a float slot broadcasts against arrays, so constants and seed
 derivatives stay floats; a column of t against a row of x gives the
 lattice between them).  Every rule below is written once and serves both.
 
-Each elementary function has one value rule (``VALUE_FUNCTIONS``), which
-holds its domain and overflow checks, and one derivative triple
-(f, f', f'') built on it (``DERIVATIVE_TRIPLES``); each jet layout
-applies the triple through its ``compose``, the second-order chain rule
+One table, ``ELEMENTARY``, names the elementary functions of the
+formula language and gives each its value rule, which holds its domain
+and overflow checks, and its derivative triple (f, f', f'') built on it;
+each jet layout applies the triple through its ``compose``, the
+second-order chain rule
 
     (f o a)'' = f''(a) a'^2 + f'(a) a''
 
@@ -485,25 +486,6 @@ def _atan(a):
     return backend(a).atan(a)
 
 
-# Value functions by name.  abs is total on values; only its derivative
-# triple excludes 0.
-VALUE_FUNCTIONS = {
-    "exp": exp,
-    "log": _log,
-    "sin": _sin,
-    "cos": _cos,
-    "tan": _tan,
-    "sec": _sec,
-    "sinh": _sinh,
-    "cosh": _cosh,
-    "tanh": _tanh,
-    "sech": _sech,
-    "sqrt": _sqrt,
-    "atan": _atan,
-    "abs": abs,
-}
-
-
 def _over(num: float, d):
     """num / d.  The denominators below can underflow to 0 for
     subnormal-range arguments while the value slot is still fine; the lost
@@ -585,27 +567,30 @@ def _d_abs(a):
     return (abs(a), backend(a).copysign(1.0, a), 0.0)
 
 
-DERIVATIVE_TRIPLES = {
-    "exp": _d_exp,
-    "log": _d_log,
-    "sin": _d_sin,
-    "cos": _d_cos,
-    "tan": _d_tan,
-    "sec": _d_sec,
-    "sinh": _d_sinh,
-    "cosh": _d_cosh,
-    "tanh": _d_tanh,
-    "sech": _d_sech,
-    "sqrt": _d_sqrt,
-    "atan": _d_atan,
-    "abs": _d_abs,
+# name -> (value rule, derivative triple); the parser lists the names in
+# this order (``expressions.FUNCTIONS``).  abs is total on values; only its
+# derivative triple excludes 0.
+ELEMENTARY = {
+    "exp": (exp, _d_exp),
+    "log": (_log, _d_log),
+    "sin": (_sin, _d_sin),
+    "cos": (_cos, _d_cos),
+    "tan": (_tan, _d_tan),
+    "sec": (_sec, _d_sec),
+    "sinh": (_sinh, _d_sinh),
+    "cosh": (_cosh, _d_cosh),
+    "tanh": (_tanh, _d_tanh),
+    "sech": (_sech, _d_sech),
+    "sqrt": (_sqrt, _d_sqrt),
+    "atan": (_atan, _d_atan),
+    "abs": (abs, _d_abs),
 }
 
 
 def apply_elementary(name: str, a: Jet2) -> Jet2:
     """Jet of an elementary function applied to ``a``."""
     try:
-        triple = DERIVATIVE_TRIPLES[name]
+        triple = ELEMENTARY[name][1]
     except KeyError:
         raise ValueError(f"unknown elementary function {name!r}") from None
     return compose(*triple(a.value), a)
@@ -645,9 +630,10 @@ JET2 = Algebra(lift, operator.attrgetter("value"), add, sub, mul, div,
 def elementary(algebra: Algebra, name: str) -> Callable:
     """a -> name(a) in ``algebra``: the value rule, or the derivative
     triple through the layout's ``compose``."""
+    value_rule, triple = ELEMENTARY[name]
     if algebra.compose is None:
-        return VALUE_FUNCTIONS[name]
-    triple, compose_, value = DERIVATIVE_TRIPLES[name], algebra.compose, algebra.value
+        return value_rule
+    compose_, value = algebra.compose, algebra.value
     return lambda a: compose_(*triple(value(a)), a)
 
 

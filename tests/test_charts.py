@@ -98,7 +98,7 @@ def test_compactify_flat_factor_basics():
     assert c.chart == "compact"
     assert c.domain == Diamond()
     assert c.target_curvature == 0.0
-    assert c.provenance.family == "compactified"
+    assert c.provenance["family"] == "compactified"
     assert c.value(0.0, 0.0) == 0.25
 
 

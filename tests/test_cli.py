@@ -75,6 +75,15 @@ def test_check_labels_null_chart_points_u_v(capsys):
     assert "(t, x)" not in out
 
 
+def test_check_names_null_chart_domain_u_v(capsys):
+    # the rectangle's bounds are u and v here, not t and x
+    rc = main(NULL_CHECK)
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "grid: 8x8 on u in (0.0, 1.0), v in (-1.0, 0.0)\n" in out
+    assert "t_min" not in out
+
+
 def test_null_chart_csv_columns_are_u_v(tmp_path, capsys):
     out_file = tmp_path / "grid.csv"
     rc = main([*NULL_CHECK, "--format", "csv", "--out", str(out_file)])
@@ -158,6 +167,10 @@ def test_compactify_liouville_family_prints_nested_provenance(capsys):
                "--R", "-1", "--C", "3", "--grid", "20x20"])
     out = capsys.readouterr().out
     assert rc == 0
+    assert out.splitlines()[0] == (
+        'factor: {"family": "compactified", "inner": {"family": "liouville", '
+        '"phi": "sin(l)", "psi": "l", "k": 1.0, "C": 3.0, "R": -1.0, '
+        '"antiderivative": "shifted", "reference": 0.0}}')
     described = json.loads(out.splitlines()[0].removeprefix("factor: "))
     assert described["family"] == "compactified"
     assert described["inner"] == {"family": "liouville", "phi": "sin(l)", "psi": "l",

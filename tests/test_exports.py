@@ -21,11 +21,13 @@ from lorentz2d.analysis import (
     OUTSIDE,
     SINGULAR,
     VALID,
+    CurvatureReport,
     LevelSet,
     extract_level_sets,
     grid_to_csv,
     level_sets_to_csv,
     level_sets_to_svg,
+    report_to_json,
     sample_grid,
 )
 from lorentz2d.charts import Diamond, Rectangle, compactify
@@ -246,6 +248,19 @@ def test_grid_csv_of_huge_tiny_and_signed_values_matches_reference():
     grid.with_ricci = False
     assert grid_to_csv(grid) == reference_grid_to_csv(grid)
 
+
+
+def test_report_json_matches_golden_bytes():
+    # the key order, "pass" for ``passed``, the 2-space indent and the
+    # worst point as a list
+    report = CurvatureReport(target_R=-2.0, tolerance=1e-06, passed=False, n_valid=63,
+                             n_singular=1, n_domain_error=0, max_abs_deviation=0.5,
+                             mean_deviation=-1.25e-07, worst_point=(0.9375, -0.9375))
+    assert report_to_json(report) == (
+        '{\n  "target_R": -2.0,\n  "tolerance": 1e-06,\n  "pass": false,\n'
+        '  "n_valid": 63,\n  "n_singular": 1,\n  "n_domain_error": 0,\n'
+        '  "max_abs_deviation": 0.5,\n  "mean_deviation": -1.25e-07,\n'
+        '  "worst_point": [\n    0.9375,\n    -0.9375\n  ]\n}\n')
 
 
 def test_diagram_pipeline_imports_no_more_of_numpy():

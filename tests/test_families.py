@@ -486,8 +486,8 @@ def test_liouville_raw_form_prints_closed_expression():
     f = liouville_factor("l", "l", k=1.0, C=0.0, target=2.0,
                          raw_antiderivative=True)
     assert unparse(f.expression) == OMEGA1_NULL_PRINTED
-    assert f.provenance.parameters["antiderivative"] == "raw"
-    assert f.provenance.parameters["reference"] is None
+    assert f.provenance["antiderivative"] == "raw"
+    assert f.provenance["reference"] is None
 
 
 def test_liouville_raw_form_matches_standard_chart_printing():
@@ -582,11 +582,11 @@ def test_liouville_parameter_validation():
 def test_liouville_provenance_records_parameters():
     f = liouville_factor("sin(l)", "0", k=1.5, C=0.25, target=-1.0)
     p = f.provenance
-    assert p.family == "liouville"
-    assert p.parameters["phi"] == "sin(l)"
-    assert p.parameters["k"] == 1.5
-    assert p.parameters["antiderivative"] == "shifted"
-    assert p.parameters["reference"] == 0.0
+    assert p["family"] == "liouville"
+    assert p["phi"] == "sin(l)"
+    assert p["k"] == 1.5
+    assert p["antiderivative"] == "shifted"
+    assert p["reference"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -619,5 +619,5 @@ def test_expression_factor_reserves_integration_variable():
 
 def test_expression_factor_records_claim():
     f = factor_from_expression("sec(t)^2", claimed_curvature=2.0)
-    assert f.provenance.parameters["claimed_R"] == 2.0
-    assert f.provenance.parameters["source"] == "sec(t)^2"
+    assert f.provenance["claimed_R"] == 2.0
+    assert f.provenance["source"] == "sec(t)^2"

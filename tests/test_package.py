@@ -1,6 +1,7 @@
 """The package's public names and its internal imports."""
 
 import ast
+import graphlib
 import inspect
 from pathlib import Path
 
@@ -43,7 +44,6 @@ PARAMETERS = {
     "NonConstantExponent": ("message", "offset", "expected"),
     "NonPositiveFactor": None,
     "ParseError": ("message", "offset", "expected"),
-    "Provenance": ("family", "parameters"),
     "QuadratureNonConvergence": ("message", "achieved_error"),
     "Rectangle": ("t_min", "t_max", "x_min", "x_max"),
     "SampleGrid": ("factor", "ts", "xs", "omega", "ricci", "s2", "status",
@@ -101,14 +101,13 @@ def test_every_public_parameter_is_in_the_table():
 # The modules each module of the package imports, function-level imports
 # included.  ``curvature`` reads fields through their ``jet``, ``value`` and
 # ``chart`` alone, so it needs neither the formula language nor the
-# families; ``charts.compactify`` imports ``families`` inside the function,
-# since ``families`` imports ``charts``.
+# families.
 IMPORTS = {
     "__init__": ("analysis", "charts", "curvature", "errors", "expressions", "families",
                  "jets"),
     "__main__": ("cli",),
     "analysis": ("charts", "curvature", "errors"),
-    "charts": ("errors", "expressions", "families", "jets"),
+    "charts": ("errors", "expressions", "jets"),
     "cli": ("analysis", "charts", "errors", "expressions", "families"),
     "curvature": ("errors", "jets"),
     "errors": (),
@@ -129,7 +128,16 @@ def _relative_imports(path: Path) -> tuple:
     return tuple(sorted(found))
 
 
-def test_internal_imports_are_in_the_table():
+def _package_imports() -> dict:
     package = Path(lorentz2d.__file__).parent
-    found = {path.stem: _relative_imports(path) for path in package.glob("*.py")}
-    assert found == IMPORTS
+    return {path.stem: _relative_imports(path) for path in package.glob("*.py")}
+
+
+def test_internal_imports_are_in_the_table():
+    assert _package_imports() == IMPORTS
+
+
+def test_internal_imports_have_no_cycle():
+    # static_order raises graphlib.CycleError on a cycle
+    found = _package_imports()
+    assert sorted(graphlib.TopologicalSorter(found).static_order()) == sorted(found)
